@@ -1436,6 +1436,7 @@ fn worker_main<B: TaskDeque<usize>>(ctx: WorkerCtx<B>) {
                     // workers all exited already is drained by
                     // `ThreadPool::shutdown` itself.)
                     if let Some((word, _)) = ctx.shard().injector.pop_blocking(ctx.local_index()) {
+                        ctx.stats().record_drained_inject();
                         ctx.note_found_work();
                         ctx.execute_job(JobRef::from_word(word));
                         continue;
@@ -1834,14 +1835,18 @@ impl ThreadPool {
         // submission racing the shutdown flag could in principle land
         // after the last worker's final sweep. Run (not leak) any
         // stragglers here — every accepted job executes exactly once.
-        // Workers are gone, so this thread is the only consumer.
+        // Workers are gone, so this thread is the only consumer; each
+        // straggler is counted on its pool's first worker.
         for shard in &self.core.shards {
+            let stats = &self.core.stats[shard.start];
             while let Some((word, _)) = shard.injector.pop_blocking(0) {
+                stats.record_drained_inject();
                 // SAFETY: the word came out of the injector exactly once,
                 // so this is the job's single execution.
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
                     JobRef::from_word(word).execute()
                 }));
+                stats.jobs.fetch_add(1, Ordering::Relaxed);
             }
         }
         let stats = self.stats();
@@ -1940,6 +1945,51 @@ impl Drop for ThreadPool {
         }
         for h in self.handles.drain(..) {
             let _ = h.join();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicU64;
+
+    /// A submission that lands after every worker has exited is run by
+    /// `shutdown`'s straggler loop, and counted like any drained job: one
+    /// attempt and one inject, so the identity balances and `injects`
+    /// covers every submission.
+    #[test]
+    fn shutdown_counts_stragglers_as_injects() {
+        for pools in [1, 2] {
+            let mut pool =
+                ThreadPool::with_config(PoolConfig::default().with_num_procs(2).with_pools(pools));
+            pool.core.shutdown.store(true, Ordering::Release);
+            for shard in &pool.core.shards {
+                shard.sleep.notify_shutdown();
+            }
+            for h in pool.handles.drain(..) {
+                h.join().unwrap();
+            }
+            let before = pool.stats();
+            let ran = Arc::new(AtomicU64::new(0));
+            for _ in 0..5 {
+                let ran = Arc::clone(&ran);
+                pool.spawn(move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            let report = pool.shutdown();
+            assert_eq!(ran.load(Ordering::Relaxed), 5, "K={pools}");
+            assert_eq!(report.stats.injects - before.injects, 5, "K={pools}");
+            assert_eq!(report.stats.jobs - before.jobs, 5, "K={pools}");
+            assert!(
+                report.stats.attempts_balance(),
+                "K={pools}: identity broken: {:?}",
+                report.stats
+            );
+            for (j, s) in report.per_pool.iter().enumerate() {
+                assert!(s.attempts_balance(), "K={pools}: pool {j}: {s:?}");
+            }
         }
     }
 }

@@ -88,6 +88,14 @@ pub struct WorkerStats {
 }
 
 impl WorkerStats {
+    /// Counts one job taken from an injector outside the steal loop (the
+    /// shutdown drains) as one attempt whose outcome is an inject, so
+    /// the identity still balances and every submission is one inject.
+    pub(crate) fn record_drained_inject(&self) {
+        self.steal_attempts.fetch_add(1, Ordering::Relaxed);
+        self.injects.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy of this worker's counters.
     pub fn snapshot(&self) -> PoolStats {
         PoolStats {

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use multiprog_ws::dag::DetRng;
 use multiprog_ws::runtime::{
-    join, Backend, BatchKind, PolicySet, PoolConfig, PoolReport, ThreadPool,
+    join, Backend, BatchKind, IdleKind, InjectKind, PolicySet, PoolConfig, PoolReport, ThreadPool,
 };
 
 /// One seeded churn episode against a `pools`-way federated topology:
@@ -187,6 +187,53 @@ fn federated_submissions_execute_exactly_once_under_churn() {
 fn federated_shutdown_drains_every_pool() {
     for (seed, pools) in [(0u64, 2), (1, 4)] {
         federated_episode(0xD1A1_0000 + seed, 4, pools, 6, 80, true);
+    }
+}
+
+/// The shutdown drain counts what it runs. With an inject policy that
+/// never polls and idle workers that never park, no submission can leave
+/// the injector before shutdown: every one is taken by a worker's
+/// shutdown drain (or by `shutdown`'s own straggler loop). Each must
+/// still count as exactly one attempt and one inject, so the identity
+/// balances and `injects` equals the submissions.
+#[test]
+fn shutdown_drain_counts_each_job_as_one_inject() {
+    for pools in [1, 2] {
+        let total = 48;
+        let pool = ThreadPool::with_config(
+            PoolConfig::default()
+                .with_num_procs(2)
+                .with_pools(pools)
+                .with_policies(
+                    PolicySet::paper()
+                        .with_inject(InjectKind::Never)
+                        .with_idle(IdleKind::Spin),
+                ),
+        );
+        let counts: Arc<Vec<AtomicU8>> = Arc::new((0..total).map(|_| AtomicU8::new(0)).collect());
+        for id in 0..total {
+            let counts = Arc::clone(&counts);
+            pool.spawn(move || {
+                counts[id].fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        let report = pool.shutdown();
+        for (id, c) in counts.iter().enumerate() {
+            assert_eq!(c.load(Ordering::Relaxed), 1, "K={pools}: job {id}");
+        }
+        assert_eq!(
+            report.stats.injects, total as u64,
+            "K={pools}: drained jobs must each count one inject: {:?}",
+            report.stats
+        );
+        assert!(
+            report.stats.attempts_balance(),
+            "K={pools}: identity broken: {:?}",
+            report.stats
+        );
+        for (i, w) in report.per_worker.iter().enumerate() {
+            assert!(w.attempts_balance(), "K={pools}: worker {i}: {w:?}");
+        }
     }
 }
 
