@@ -2061,6 +2061,11 @@ pub fn idle(small: bool) -> ExpResult {
 ///    `steal_attempts == steals + aborts + empties + injects` and
 ///    `parks == unparks` hold on every pool at shutdown, and every
 ///    split/sequential decision is counted (`par_splits + par_seq > 0`).
+/// 4. **Work inflation** — `par_sort_unstable` on a *1-worker* pool runs
+///    every fork serially, so its time over the sequential baseline is
+///    the work the split passes add (`T₁ / T_seq`, `sort.work_ratio`).
+///    It must stay ≤ 1.4. Needing no parallel hardware, this gate is
+///    active on every host.
 pub fn par(small: bool) -> ExpResult {
     use abp_dag::DetRng;
     use abp_telemetry::json;
@@ -2076,6 +2081,24 @@ pub fn par(small: bool) -> ExpResult {
     fn median_ms(times: &mut [f64]) -> f64 {
         times.sort_by(|a, b| a.partial_cmp(b).unwrap());
         times[times.len() / 2]
+    }
+
+    /// Median ms of `reps` timed `par_sort_unstable` runs on `pool`,
+    /// after one warm-up run (first-touch wakes, page faults on the
+    /// clone); `false` if any output differs from `expect`.
+    fn time_par_sort(pool: &ThreadPool, data: &[u64], expect: &[u64], reps: usize) -> (f64, bool) {
+        let mut warm = data.to_vec();
+        pool.install(|| par_sort_unstable(&mut warm));
+        let mut ok = warm == expect;
+        let mut times = Vec::new();
+        for _ in 0..reps {
+            let mut v = data.to_vec();
+            let t0 = Instant::now();
+            pool.install(|| par_sort_unstable(&mut v));
+            times.push(t0.elapsed().as_secs_f64() * 1e3);
+            ok &= v == expect;
+        }
+        (median_ms(&mut times), ok)
     }
 
     fn hash(x: u64) -> u64 {
@@ -2116,6 +2139,14 @@ pub fn par(small: bool) -> ExpResult {
     }
     let seq_reduce_ms = median_ms(&mut times);
 
+    // -- claim 4: work inflation on a 1-worker pool ----------------------
+    let solo = ThreadPool::new(1);
+    let (solo_sort_ms, ok) = time_par_sort(&solo, &sort_data, &sorted_expect, reps);
+    pass &= ok;
+    solo.shutdown();
+    let work_ratio = solo_sort_ms / seq_sort_ms;
+    pass &= work_ratio <= 1.4;
+
     // -- one pool per split policy, both workloads on each ---------------
     // Both pools count fork decisions through the same `par_splits`
     // counter, so the adaptive-vs-eager task-count comparison is
@@ -2134,18 +2165,8 @@ pub fn par(small: bool) -> ExpResult {
             },
             ..PoolConfig::default()
         });
-        // Warm (first-touch wakes, page faults on the clone).
-        let mut warm = sort_data.clone();
-        pool.install(|| par_sort_unstable(&mut warm));
-        let mut times = Vec::new();
-        for _ in 0..reps {
-            let mut v = sort_data.clone();
-            let t0 = Instant::now();
-            pool.install(|| par_sort_unstable(&mut v));
-            times.push(t0.elapsed().as_secs_f64() * 1e3);
-            pass &= v == sorted_expect;
-        }
-        let sort_ms = median_ms(&mut times);
+        let (sort_ms, ok) = time_par_sort(&pool, &sort_data, &sorted_expect, reps);
+        pass &= ok;
         let mut times = Vec::new();
         for _ in 0..reps {
             let t0 = Instant::now();
@@ -2216,7 +2237,7 @@ pub fn par(small: bool) -> ExpResult {
         "{{\n  \"bench\": \"par\",\n  \"mode\": \"{}\",\n  \"p\": {},\n  \"cores\": {},\n  \
          \"speedup_gate_active\": {},\n  \
          \"sort\": {{\"n\": {}, \"seq_ms\": {:.3}, \"adaptive_ms\": {:.3}, \"eager_ms\": {:.3}, \
-         \"speedup\": {:.3}}},\n  \
+         \"speedup\": {:.3}, \"solo_ms\": {:.3}, \"work_ratio\": {:.3}}},\n  \
          \"reduce\": {{\"n\": {}, \"seq_ms\": {:.3}, \"adaptive_ms\": {:.3}, \"eager_ms\": {:.3}, \
          \"speedup\": {:.3}}},\n  \
          \"adaptive\": {{\"par_splits\": {}, \"par_seq\": {}, \"steals\": {}, \
@@ -2232,6 +2253,8 @@ pub fn par(small: bool) -> ExpResult {
         adaptive.sort_ms,
         eager.sort_ms,
         sort_speedup,
+        solo_sort_ms,
+        work_ratio,
         n_reduce,
         seq_reduce_ms,
         adaptive.reduce_ms,
@@ -2261,6 +2284,7 @@ pub fn par(small: bool) -> ExpResult {
          at ≤ 1.25x eager's time (bar)\n\
          accounting: attempts balance + parks balance on both pools; \
          every split decision counted\n\
+         work inflation: 1-worker sort / sequential sort = {work_ratio:.2} (bar ≤ 1.4)\n\
          wrote target/BENCH_par.json ({} bytes{})\n\n{}",
         if cores_scarce {
             " waived: fewer cores than workers — speedups reported informationally"

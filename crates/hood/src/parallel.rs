@@ -107,12 +107,11 @@ where
     rec(slice, splitter_for(grain), identity, map, reduce)
 }
 
-/// Parallel unstable sort (three-way quicksort, `std` sequential
-/// leaves). Deterministic pivot choice keeps runs reproducible. This is
-/// [`crate::par::par_sort_unstable`] under its historical flat name: the
-/// fork cadence follows the pool's [`abp_core::SplitKind`] policy.
+/// Parallel unstable sort: [`crate::par::par_sort_unstable`] under its
+/// historical flat name (median splits, `std` sequential leaves, fork
+/// cadence from the pool's [`abp_core::SplitKind`] policy).
 pub fn sort_unstable<T: Ord + Send>(slice: &mut [T]) {
-    crate::par::sort::sort_with(slice, Splitter::new().with_min_len(512));
+    crate::par::par_sort_unstable(slice);
 }
 
 /// Parallel map into a fresh `Vec`, preserving element order.

@@ -1551,6 +1551,21 @@ pub struct PoolReport {
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
+/// Boxes a fire-and-forget [`ThreadPool::spawn`] job. Nobody waits on
+/// its result, so a panic is contained here — after the default hook has
+/// reported it — instead of unwinding through, and killing, the worker
+/// that runs it.
+fn detached_job<F: FnOnce() + Send + 'static>(f: F) -> JobRef {
+    // SAFETY: the closure is 'static and the injector/worker protocol
+    // executes each submitted job exactly once (each entry is popped by
+    // exactly one worker, and shutdown drains leftovers).
+    unsafe {
+        crate::job::HeapJob::into_job_ref(move || {
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        })
+    }
+}
+
 /// A work-stealing thread pool in the spirit of the authors' Hood library.
 pub struct ThreadPool {
     core: Arc<SharedCore>,
@@ -1706,11 +1721,7 @@ impl ThreadPool {
     where
         F: FnOnce() + Send + 'static,
     {
-        // SAFETY: the closure is 'static and the injector/worker
-        // protocol executes each submitted job exactly once (each entry
-        // is popped by exactly one worker, and shutdown drains leftovers).
-        let job = unsafe { crate::job::HeapJob::into_job_ref(f) };
-        self.core.inject(job);
+        self.core.inject(detached_job(f));
     }
 
     /// Submits a batch of jobs under a single injector shard lock — the
@@ -1723,8 +1734,7 @@ impl ThreadPool {
     {
         let words: Vec<usize> = jobs
             .into_iter()
-            // SAFETY: as in `spawn` — exactly-once execution of each ref.
-            .map(|f| unsafe { crate::job::HeapJob::into_job_ref(f) }.to_word())
+            .map(|f| detached_job(f).to_word())
             .collect();
         self.core.inject_batch(&words);
     }
@@ -1842,10 +1852,9 @@ impl ThreadPool {
             while let Some((word, _)) = shard.injector.pop_blocking(0) {
                 stats.record_drained_inject();
                 // SAFETY: the word came out of the injector exactly once,
-                // so this is the job's single execution.
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
-                    JobRef::from_word(word).execute()
-                }));
+                // so this is the job's single execution. Injected jobs
+                // contain their own panics (`install`, `detached_job`).
+                unsafe { JobRef::from_word(word).execute() };
                 stats.jobs.fetch_add(1, Ordering::Relaxed);
             }
         }

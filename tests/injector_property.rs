@@ -293,3 +293,27 @@ fn injector_backlog_gauge() {
     pool.shutdown();
     assert_eq!(ran.load(Ordering::Relaxed), 32);
 }
+
+/// A panicking fire-and-forget job costs only itself. On a one-worker
+/// pool the job submitted after it must run on that same worker, not
+/// wait for `shutdown`'s straggler loop because the panic unwound
+/// through, and ended, the worker thread.
+#[test]
+fn panicking_spawn_keeps_its_worker_alive() {
+    let pool = ThreadPool::new(1);
+    let (tx, rx) = std::sync::mpsc::channel();
+    pool.spawn(|| panic!("spawned job panics on purpose"));
+    let batch_tx = tx.clone();
+    pool.spawn_batch([
+        Box::new(|| panic!("batched job panics on purpose")) as Box<dyn FnOnce() + Send>,
+        Box::new(move || batch_tx.send("batch").unwrap()),
+    ]);
+    pool.spawn(move || tx.send("spawn").unwrap());
+    let timeout = std::time::Duration::from_secs(5);
+    let mut got = [rx.recv_timeout(timeout), rx.recv_timeout(timeout)].map(|r| r.ok());
+    got.sort();
+    assert_eq!(got, [Some("batch"), Some("spawn")]);
+    let report = pool.shutdown();
+    assert_eq!(report.stats.jobs, 4, "{:?}", report.stats);
+    assert!(report.stats.attempts_balance(), "{:?}", report.stats);
+}

@@ -213,6 +213,30 @@ fn par_sort_matches_std_across_seeds_and_policies() {
     }
 }
 
+/// Every fork of `par_sort_unstable` halves its range exactly, whatever
+/// the input's shape: with an eager 1024 grain, 2^16 elements make a
+/// perfect split tree of 2^6 leaves, i.e. 63 splits. A sampled pivot
+/// instead splits unevenly and makes more (or fewer) forks per shape.
+#[test]
+fn par_sort_splits_at_the_median_on_every_shape() {
+    let n = 1usize << 16;
+    let mut rng = DetRng::new(13);
+    let organ_pipe: Vec<u64> = (0..n as u64 / 2).chain((0..n as u64 / 2).rev()).collect();
+    let random: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+    let sorted: Vec<u64> = (0..n as u64).collect();
+    for (shape, mut v) in [
+        ("organ-pipe", organ_pipe),
+        ("random", random),
+        ("sorted", sorted),
+    ] {
+        let pool = pool_with_split(2, SplitKind::EagerGrain { grain: 1_024 });
+        pool.install(|| par_sort_unstable(&mut v));
+        assert!(v.windows(2).all(|w| w[0] <= w[1]), "{shape}: not sorted");
+        let report = pool.shutdown();
+        assert_eq!(report.stats.par_splits, 63, "{shape}: {:?}", report.stats);
+    }
+}
+
 /// The policy axis actually drives the cadence: a `Sequential` pool
 /// records zero splits, an adaptive pool records some, and both compute
 /// the same answer.
