@@ -5,7 +5,7 @@
 //! Three groups:
 //!
 //! * `par_sort` — `std` sequential `sort_unstable` vs adaptive
-//!   `par_sort_unstable` vs the same quicksort pinned to an eager grain;
+//!   `par_sort_unstable` vs the same sort pinned to an eager grain;
 //! * `par_reduce` — sequential iterator sum vs `par_iter().map().sum()`,
 //!   adaptive vs eager vs forced-sequential splitter policies;
 //! * `par_map` — sequential `collect` vs `map_collect` (the single-spine

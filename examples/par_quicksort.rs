@@ -1,12 +1,13 @@
-//! Domain example: adaptive parallel quicksort.
+//! Domain example: adaptive parallel sort.
 //!
 //! ```sh
 //! cargo run --release --example par_quicksort
 //! ```
 //!
 //! Sorts the same random data three ways — `std`'s sequential
-//! `sort_unstable`, hood's adaptive [`hood::par_sort_unstable`], and the
-//! same quicksort pinned to an eager fixed grain via the
+//! `sort_unstable`, hood's adaptive [`hood::par_sort_unstable`] (each
+//! fork splits at the exact median, found with `select_nth_unstable`),
+//! and the same sort pinned to an eager fixed grain via the
 //! [`hood::SplitKind`] policy axis — and prints timings plus the
 //! splitter's task accounting. The interesting number is the
 //! `par splits` column: the adaptive run forks only while idle workers
