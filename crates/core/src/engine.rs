@@ -330,12 +330,12 @@ mod tests {
         // The default cadence leaves the classic three-axis label
         // untouched (the policy_regression goldens depend on that).
         assert_eq!(PolicySet::paper().label(), "uniform+yield+spin");
-        let set = PolicySet::paper().with_inject(InjectKind::EveryN { n: 8 });
-        assert_eq!(set.label(), "uniform+yield+spin+inject-nth");
+        let set = PolicySet::paper().with_inject(InjectKind::Never);
+        assert_eq!(set.label(), "uniform+yield+spin+inject-never");
         let mut eng = PolicyEngine::new(&set, PolicyRng::new(1));
-        assert!(eng.injector_due()); // fails == 0
+        assert!(!eng.injector_due()); // fails == 0
         eng.note_failed();
-        assert!(!eng.injector_due()); // fails == 1, period 8
+        assert!(!eng.injector_due()); // fails == 1
         let mut default_eng = PolicyEngine::new(&PolicySet::paper(), PolicyRng::new(1));
         for _ in 0..5 {
             assert!(default_eng.injector_due());

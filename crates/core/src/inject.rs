@@ -44,30 +44,6 @@ impl InjectPolicy for EveryScan {
     }
 }
 
-/// Poll only on every `n`-th consecutive failed hunt (and always on the
-/// first). Trades inject latency for less shard traffic under heavy
-/// steal churn.
-#[derive(Debug, Clone, Copy)]
-pub struct EveryN {
-    n: u32,
-}
-
-impl EveryN {
-    /// `n` is clamped to at least 1.
-    pub fn new(n: u32) -> Self {
-        EveryN { n: n.max(1) }
-    }
-}
-
-impl InjectPolicy for EveryN {
-    fn should_poll(&mut self, fails: u32) -> bool {
-        fails.is_multiple_of(self.n)
-    }
-    fn name(&self) -> &'static str {
-        "inject-nth"
-    }
-}
-
 /// Never poll — the pre-injector behavior, for ablation. External
 /// submissions are then only picked up by the explicit drain points
 /// (park wake-up and shutdown), not the steal loop.
@@ -90,11 +66,6 @@ pub enum InjectKind {
     /// Once per victim scan (the default).
     #[default]
     EveryScan,
-    /// Every `n`-th consecutive failed hunt.
-    EveryN {
-        /// Poll period in failed hunts (≥ 1).
-        n: u32,
-    },
     /// Never from the steal loop.
     Never,
 }
@@ -104,7 +75,6 @@ impl InjectKind {
     pub fn build(&self) -> Box<dyn InjectPolicy> {
         match *self {
             InjectKind::EveryScan => Box::new(EveryScan),
-            InjectKind::EveryN { n } => Box::new(EveryN::new(n)),
             InjectKind::Never => Box::new(NeverInject),
         }
     }
@@ -113,7 +83,6 @@ impl InjectKind {
     pub fn label(&self) -> &'static str {
         match self {
             InjectKind::EveryScan => "inject-scan",
-            InjectKind::EveryN { .. } => "inject-nth",
             InjectKind::Never => "inject-never",
         }
     }
@@ -133,23 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn every_n_polls_on_period() {
-        let mut p = InjectKind::EveryN { n: 4 }.build();
-        let got: Vec<bool> = (0..9).map(|f| p.should_poll(f)).collect();
-        assert_eq!(
-            got,
-            vec![true, false, false, false, true, false, false, false, true]
-        );
-    }
-
-    #[test]
-    fn every_n_clamps_zero_to_one() {
-        let mut p = InjectKind::EveryN { n: 0 }.build();
-        assert!(p.should_poll(0));
-        assert!(p.should_poll(1));
-    }
-
-    #[test]
     fn never_never_polls() {
         let mut p = InjectKind::Never.build();
         assert!(!p.should_poll(0));
@@ -159,7 +111,6 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         assert_eq!(InjectKind::EveryScan.label(), "inject-scan");
-        assert_eq!(InjectKind::EveryN { n: 2 }.label(), "inject-nth");
         assert_eq!(InjectKind::Never.label(), "inject-never");
         assert_eq!(InjectKind::default(), InjectKind::EveryScan);
     }

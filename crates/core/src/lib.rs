@@ -32,9 +32,8 @@
 //!
 //! * [`InjectPolicy`] — how often a work-less worker polls the external
 //!   submission injector, when the runtime has one. Implementations:
-//!   [`EveryScan`] (once per victim scan, the default), [`EveryN`]
-//!   (every n-th failed hunt), and [`NeverInject`] (the pre-injector
-//!   behavior, for ablation).
+//!   [`EveryScan`] (once per victim scan, the default) and
+//!   [`NeverInject`] (the pre-injector behavior, for ablation).
 //!
 //! * [`SplitKind`] — when a data-parallel computation forks vs. runs a
 //!   range sequentially, for runtimes with a `par_iter`-style layer.
@@ -95,7 +94,7 @@ pub use bounds::{
 };
 pub use engine::{coin_threshold, PolicyEngine, PolicySet};
 pub use idle::{IdleAction, IdleKind, IdlePolicy, ParkAfter, ParkUntilWakeIdle, SpinIdle};
-pub use inject::{EveryN, EveryScan, InjectKind, InjectPolicy, NeverInject};
+pub use inject::{EveryScan, InjectKind, InjectPolicy, NeverInject};
 pub use rng::PolicyRng;
 pub use split::SplitKind;
 pub use tally::{StealResult, StealTally};

@@ -46,6 +46,34 @@
 //! operations and successful steals are linearizable; a [`Steal::Abort`]
 //! result corresponds to a `popTop` that lost a race and may be retried.
 //!
+//! # Buffers
+//!
+//! The protocol is written once, over a [`Buffer`] that decides only where
+//! slot `i` of `deq` lives:
+//!
+//! * [`Fixed`] — the paper's array, sized "big enough" up front; a push
+//!   past its end reports [`PushError`] ([`new`]).
+//! * [`Growable`] — an extension beyond the paper, as in Hood's practical
+//!   descendants ([`new_growable`]). The owner, on running out of room,
+//!   allocates a buffer of twice the capacity, copies it, and publishes
+//!   it; the old buffer is parked on an owner-private retire list and
+//!   freed only when the deque itself is dropped, so a preempted thief can
+//!   safely finish reading it (retired buffers form a geometric series, so
+//!   they total less than the current buffer — bounded waste, no GC).
+//!   Stale-buffer reads are harmless by the same argument that protects
+//!   stale slot reads: growth never changes indices and superseded buffers
+//!   are immutable, so a thief holding the old buffer reads exactly the
+//!   bytes the new one holds at that index, and anything read before a
+//!   bottom reset is rejected by the tag [INV-TAG]. The only extra edge is
+//!   the buffer pointer (**INV-GROW**): the owner publishes it with a
+//!   `Release` swap and thieves load it with `Acquire`, so the copied
+//!   contents are visible before the dereference. The owner stays lock-free
+//!   (an allocation is not wait-free, but never blocks on other
+//!   processes). The 32-bit `top` wraps only after 2³² steals without the
+//!   owner ever draining the deque (every drain resets the indices) —
+//!   unreachable for a fork-join runtime, but a producer/consumer pipeline
+//!   that never empties the deque should use bounded batches.
+//!
 //! # Ownership model
 //!
 //! [`new`] returns a ([`Worker`], [`Stealer`]) pair. `Worker` is the unique
@@ -56,8 +84,9 @@
 
 use crate::order::{DefaultProtocol, OrderProfile};
 use crate::word::Word;
+use std::cell::UnsafeCell;
 use std::marker::PhantomData;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Packed `age` word: tag in the high 32 bits, top in the low 32 bits —
@@ -89,19 +118,180 @@ impl AgeWord {
 /// thief is scanning. 128 bytes covers adjacent-line prefetch pairing on
 /// modern x86 as well as plain 64-byte lines.
 #[repr(align(128))]
-struct Line<T>(T);
+pub(crate) struct Line<T>(pub(crate) T);
 
-struct Inner<T: Word> {
+/// Where slot `i` of the deque array lives — the one decision the
+/// fixed-capacity and growable deques disagree on. [`Worker`] and
+/// [`Stealer`] run the Figure-5 protocol over any `Buffer`; the two
+/// implementations are [`Fixed`] and [`Growable`], built by [`new`] and
+/// [`new_growable`].
+pub trait Buffer: Send + Sync + 'static {
+    /// The slot `pushBottom` stores into at index `i`, making room for it
+    /// if the buffer can; `None` means it cannot, and the push reports
+    /// [`PushError`].
+    ///
+    /// # Safety
+    ///
+    /// Owner only: no two calls may overlap. The deque's [`Worker`] is
+    /// the unique, `!Sync` owner handle, which guarantees this.
+    unsafe fn push_slot<P: OrderProfile>(&self, i: usize) -> Option<&AtomicU64>;
+
+    /// The slot `popBottom` reads at index `i`, below the owner's own
+    /// `bot`. Owner only.
+    fn owner_slot<P: OrderProfile>(&self, i: usize) -> &AtomicU64;
+
+    /// A thief's read of slot `i`, below a `bot` it has acquired; `None`
+    /// gives the attempt up (the batch or single steal then aborts).
+    fn thief_read<P: OrderProfile>(&self, i: usize) -> Option<u64>;
+}
+
+/// The paper's fixed array, sized up front: a push past its end fails.
+pub struct Fixed(Box<[AtomicU64]>);
+
+impl Fixed {
+    fn new(capacity: usize) -> Self {
+        Fixed((0..capacity).map(|_| AtomicU64::new(0)).collect())
+    }
+}
+
+impl Buffer for Fixed {
+    #[inline]
+    unsafe fn push_slot<P: OrderProfile>(&self, i: usize) -> Option<&AtomicU64> {
+        self.0.get(i)
+    }
+
+    #[inline]
+    fn owner_slot<P: OrderProfile>(&self, i: usize) -> &AtomicU64 {
+        &self.0[i]
+    }
+
+    #[inline]
+    fn thief_read<P: OrderProfile>(&self, i: usize) -> Option<u64> {
+        // Relaxed: validated by the tag cas [INV-TAG].
+        Some(self.0[i].load(P::RELAXED))
+    }
+}
+
+/// A buffer the owner doubles when a push reaches its end, retiring the
+/// old one until the deque drops (see the module docs): a push never
+/// fails.
+pub struct Growable {
+    /// The current buffer. It gets its own line: the owner swaps it far
+    /// more rarely than thieves read it.
+    current: Line<AtomicPtr<Fixed>>,
+    /// Superseded buffers, kept alive so preempted thieves can finish
+    /// reading them. Pushed to only by `push_slot` (owner only), drained
+    /// only in `Drop`. The boxes are required: thieves hold references
+    /// into the buffers, so their addresses must survive the `Vec`
+    /// reallocating.
+    #[allow(clippy::vec_box)]
+    retired: UnsafeCell<Vec<Box<Fixed>>>,
+}
+
+// SAFETY: `retired` is touched only by `push_slot`, whose contract rules
+// out overlapping calls, and by `Drop`, which is exclusive; everything
+// else is atomic.
+unsafe impl Sync for Growable {}
+
+impl Growable {
+    fn new(initial_capacity: usize) -> Self {
+        let cap = initial_capacity.next_power_of_two().max(4);
+        Growable {
+            current: Line(AtomicPtr::new(Box::into_raw(Box::new(Fixed::new(cap))))),
+            retired: UnsafeCell::new(Vec::new()),
+        }
+    }
+
+    #[inline]
+    fn current(&self, order: Ordering) -> &Fixed {
+        // SAFETY: buffers are freed only when `self` drops, so the
+        // pointer is live for as long as `&self` is.
+        unsafe { &*self.current.0.load(order) }
+    }
+}
+
+impl Drop for Growable {
+    fn drop(&mut self) {
+        // Sole owner at this point: reclaim the current buffer directly
+        // (`retired` drops itself).
+        // SAFETY: the pointer came from `Box::into_raw` and nothing else
+        // can reach it any more.
+        unsafe { drop(Box::from_raw(*self.current.0.get_mut())) }
+    }
+}
+
+impl Buffer for Growable {
+    unsafe fn push_slot<P: OrderProfile>(&self, i: usize) -> Option<&AtomicU64> {
+        // Relaxed: the owner is the pointer's sole writer [INV-OWNER].
+        let mut buf = self.current(P::RELAXED);
+        if i >= buf.0.len() {
+            // Grow: copy everything (indices are absolute and small — bot
+            // resets to 0 whenever the owner drains the deque). Relaxed
+            // slot traffic: published by the Release swap below
+            // [INV-GROW], and stale values a thief reads from the old
+            // buffer are rejected by the tag cas [INV-TAG].
+            let new = Fixed::new(buf.0.len() * 2);
+            for (dst, src) in new.0.iter().zip(buf.0.iter()) {
+                dst.store(src.load(P::RELAXED), P::RELAXED);
+            }
+            let new_ptr = Box::into_raw(Box::new(new));
+            // Release: publishes the copied contents (and the buffer's
+            // initialization writes) to any thief that Acquire-loads the
+            // new pointer [INV-GROW].
+            let old = self.current.0.swap(new_ptr, P::RELEASE);
+            // SAFETY: `old` is unlinked but thieves may still hold it, so
+            // it is retired until Drop; `retired` is owner-private by this
+            // method's contract.
+            unsafe {
+                (*self.retired.get()).push(Box::from_raw(old));
+                buf = &*new_ptr;
+            }
+        }
+        Some(&buf.0[i])
+    }
+
+    #[inline]
+    fn owner_slot<P: OrderProfile>(&self, i: usize) -> &AtomicU64 {
+        // Relaxed: the owner is the pointer's sole writer [INV-OWNER].
+        &self.current(P::RELAXED).0[i]
+    }
+
+    fn thief_read<P: OrderProfile>(&self, i: usize) -> Option<u64> {
+        let mut spins = 0;
+        loop {
+            // Acquire: pairs with whichever Release swap published this
+            // pointer, so the buffer's initialization and copied contents
+            // are visible before the dereference [INV-GROW].
+            let buf = self.current(P::ACQUIRE);
+            if let Some(slot) = buf.0.get(i) {
+                // Relaxed: validated by the tag cas [INV-TAG].
+                return Some(slot.load(P::RELAXED));
+            }
+            // Stale buffer: the owner grows before publishing a `bot`
+            // past its end, so a bigger one is already published.
+            spins += 1;
+            if spins > 64 {
+                // Pathological staleness: give up this attempt rather than
+                // spin (non-blocking discipline).
+                return None;
+            }
+            std::hint::spin_loop();
+        }
+    }
+}
+
+struct Inner<T: Word, B: Buffer> {
     age: Line<AtomicU64>,
     bot: Line<AtomicU64>,
-    deq: Box<[AtomicU64]>,
+    deq: B,
     _marker: PhantomData<T>,
 }
 
-// SAFETY: all shared state is accessed through atomics; T is a plain
-// machine word (Word is Copy and round-trips through u64).
-unsafe impl<T: Word> Send for Inner<T> {}
-unsafe impl<T: Word> Sync for Inner<T> {}
+// SAFETY: all shared state is accessed through atomics (the buffer is
+// `Sync`); T is a plain machine word (Word is Copy and round-trips
+// through u64).
+unsafe impl<T: Word, B: Buffer> Send for Inner<T, B> {}
+unsafe impl<T: Word, B: Buffer> Sync for Inner<T, B> {}
 
 /// Result of a steal attempt ([`Stealer::pop_top`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,8 +397,8 @@ pub(crate) fn batch_want(hint: usize, max: usize) -> usize {
 }
 
 /// The owner handle: `pushBottom` and `popBottom`.
-pub struct Worker<T: Word, P: OrderProfile = DefaultProtocol> {
-    inner: Arc<Inner<T>>,
+pub struct Worker<T: Word, P: OrderProfile = DefaultProtocol, B: Buffer = Fixed> {
+    inner: Arc<Inner<T, B>>,
     // !Sync: a Worker must not be shared across processes.
     _not_sync: PhantomData<std::cell::Cell<()>>,
     _order: PhantomData<fn() -> P>,
@@ -216,15 +406,15 @@ pub struct Worker<T: Word, P: OrderProfile = DefaultProtocol> {
 
 // A Worker may migrate between OS threads (processes are multiplexed), but
 // never be used by two at once.
-unsafe impl<T: Word, P: OrderProfile> Send for Worker<T, P> {}
+unsafe impl<T: Word, P: OrderProfile, B: Buffer> Send for Worker<T, P, B> {}
 
 /// A thief handle: `popTop`. Freely cloneable and shareable.
-pub struct Stealer<T: Word, P: OrderProfile = DefaultProtocol> {
-    inner: Arc<Inner<T>>,
+pub struct Stealer<T: Word, P: OrderProfile = DefaultProtocol, B: Buffer = Fixed> {
+    inner: Arc<Inner<T, B>>,
     _order: PhantomData<fn() -> P>,
 }
 
-impl<T: Word, P: OrderProfile> Clone for Stealer<T, P> {
+impl<T: Word, P: OrderProfile, B: Buffer> Clone for Stealer<T, P, B> {
     fn clone(&self) -> Self {
         Stealer {
             inner: Arc::clone(&self.inner),
@@ -232,6 +422,11 @@ impl<T: Word, P: OrderProfile> Clone for Stealer<T, P> {
         }
     }
 }
+
+/// Owner handle of a growable ABP deque ([`new_growable`]).
+pub type GrowableWorker<T, P = DefaultProtocol> = Worker<T, P, Growable>;
+/// Thief handle of a growable ABP deque ([`new_growable`]).
+pub type GrowableStealer<T, P = DefaultProtocol> = Stealer<T, P, Growable>;
 
 /// Creates an ABP deque with space for `capacity` entries, returning the
 /// unique owner handle and a cloneable stealer handle.
@@ -262,7 +457,24 @@ pub fn new<T: Word>(capacity: usize) -> (Worker<T>, Stealer<T>) {
 /// baseline ([`crate::order::SeqCstProtocol`]) in the same binary.
 pub fn new_with_order<T: Word, P: OrderProfile>(capacity: usize) -> (Worker<T, P>, Stealer<T, P>) {
     assert!(capacity >= 1 && capacity <= u32::MAX as usize);
-    let deq = (0..capacity).map(|_| AtomicU64::new(0)).collect();
+    pair(Fixed::new(capacity))
+}
+
+/// Creates a growable ABP deque whose initial capacity is `initial_capacity`
+/// rounded up to a power of two (at least 4); its pushes never fail.
+pub fn new_growable<T: Word>(initial_capacity: usize) -> (GrowableWorker<T>, GrowableStealer<T>) {
+    new_growable_with_order::<T, DefaultProtocol>(initial_capacity)
+}
+
+/// [`new_growable`], but with an explicit [`OrderProfile`] (as
+/// [`new_with_order`]).
+pub fn new_growable_with_order<T: Word, P: OrderProfile>(
+    initial_capacity: usize,
+) -> (GrowableWorker<T, P>, GrowableStealer<T, P>) {
+    pair(Growable::new(initial_capacity))
+}
+
+fn pair<T: Word, P: OrderProfile, B: Buffer>(deq: B) -> (Worker<T, P, B>, Stealer<T, P, B>) {
     let inner = Arc::new(Inner {
         age: Line(AtomicU64::new(AgeWord { tag: 0, top: 0 }.pack())),
         bot: Line(AtomicU64::new(0)),
@@ -287,24 +499,26 @@ pub fn new_with_order<T: Word, P: OrderProfile>(capacity: usize) -> (Worker<T, P
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PushError<T>(pub T);
 
-impl<T: Word, P: OrderProfile> Worker<T, P> {
+impl<T: Word, P: OrderProfile, B: Buffer> Worker<T, P, B> {
     /// `pushBottom` (Figure 5): store the node at `deq[bot]` and advance
     /// `bot`. Owner-only; never blocks, never fails except on array
-    /// exhaustion.
+    /// exhaustion (which a [`Growable`] buffer never reaches).
     pub fn push_bottom(&self, node: T) -> Result<(), PushError<T>> {
         let inner = &*self.inner;
         // 1: load localBot <- bot. Relaxed: the owner is the sole writer
         // of bot, so coherence alone yields its own latest value
         // [INV-OWNER].
         let local_bot = inner.bot.0.load(P::RELAXED);
-        if local_bot as usize >= inner.deq.len() {
+        // SAFETY: this `Worker` is the deque's unique, `!Sync` owner, so
+        // no other `push_slot` call can overlap this one.
+        let Some(slot) = (unsafe { inner.deq.push_slot::<P>(local_bot as usize) }) else {
             return Err(PushError(node));
-        }
+        };
         // 2: store node -> deq[localBot]. Relaxed: published by the
         // Release store of bot below [INV-PUSH]; a thief that reads the
         // slot without having acquired that bot has its value rejected by
         // the tag cas [INV-TAG].
-        inner.deq[local_bot as usize].store(node.to_word(), P::RELAXED);
+        slot.store(node.to_word(), P::RELAXED);
         // 3-4: store localBot + 1 -> bot. Release: a thief that
         // Acquire-loads the advanced bot also observes the slot contents
         // [INV-PUSH].
@@ -337,7 +551,12 @@ impl<T: Word, P: OrderProfile> Worker<T, P> {
         P::owner_fence();
         // 6: load node <- deq[localBot]. Relaxed: the owner wrote this
         // slot itself [INV-OWNER].
-        let node = T::from_word(inner.deq[local_bot as usize].load(P::RELAXED));
+        let node = T::from_word(
+            inner
+                .deq
+                .owner_slot::<P>(local_bot as usize)
+                .load(P::RELAXED),
+        );
         // 7: load oldAge <- age. Acquire: ordered after the claim store by
         // the fence [INV-FENCE]; synchronizes with the Release half of any
         // observed steal cas, so the slot rewrites that follow a reset
@@ -393,7 +612,7 @@ impl<T: Word, P: OrderProfile> Worker<T, P> {
     }
 
     /// Creates another stealer handle for this deque.
-    pub fn stealer(&self) -> Stealer<T, P> {
+    pub fn stealer(&self) -> Stealer<T, P, B> {
         Stealer {
             inner: Arc::clone(&self.inner),
             _order: PhantomData,
@@ -401,7 +620,15 @@ impl<T: Word, P: OrderProfile> Worker<T, P> {
     }
 }
 
-impl<T: Word, P: OrderProfile> Stealer<T, P> {
+impl<T: Word, P: OrderProfile> GrowableWorker<T, P> {
+    /// Current backing-array capacity (for tests/diagnostics).
+    pub fn capacity(&self) -> usize {
+        // Relaxed: the owner is the pointer's sole writer [INV-OWNER].
+        self.inner.deq.current(P::RELAXED).0.len()
+    }
+}
+
+impl<T: Word, P: OrderProfile, B: Buffer> Stealer<T, P, B> {
     /// `popTop` (Figure 5): read `age` and `bot`, and if the deque is
     /// non-empty try to advance `top` with a `cas` on the whole age word.
     pub fn pop_top(&self) -> Steal<T> {
@@ -424,8 +651,12 @@ impl<T: Word, P: OrderProfile> Stealer<T, P> {
         // 5: read the top entry *before* the cas; a successful cas
         // validates that this read saw the live value (the tag makes a
         // stale read impossible to validate [INV-TAG]), so Relaxed
-        // suffices here.
-        let node = T::from_word(inner.deq[old_age.top as usize].load(P::RELAXED));
+        // suffices here. A growable buffer that stays stale gives the
+        // attempt up [INV-GROW].
+        let Some(word) = inner.deq.thief_read::<P>(old_age.top as usize) else {
+            return Steal::Abort;
+        };
+        let node = T::from_word(word);
         // 6-7: newAge = oldAge with top + 1.
         let new_age = AgeWord {
             tag: old_age.tag,
@@ -518,8 +749,14 @@ impl<T: Word, P: OrderProfile> Stealer<T, P> {
         let want = batch_want(avail, max);
         out.tasks.reserve(want);
         while out.tasks.len() < want {
-            // Slot read before the cas, validated by it [INV-TAG].
-            let node = T::from_word(inner.deq[age.top as usize].load(P::RELAXED));
+            // Slot read before the cas, validated by it [INV-TAG]. A
+            // growable buffer that stays stale ends the grab, as in
+            // `pop_top` [INV-GROW].
+            let Some(word) = inner.deq.thief_read::<P>(age.top as usize) else {
+                out.aborted = out.tasks.is_empty();
+                return;
+            };
+            let node = T::from_word(word);
             let new_age = AgeWord {
                 tag: age.tag,
                 top: age.top + 1,
@@ -562,11 +799,11 @@ impl<T: Word, P: OrderProfile> Stealer<T, P> {
     }
 }
 
-fn len_hint<T: Word>(inner: &Inner<T>) -> usize {
+fn len_hint<T: Word, B: Buffer>(inner: &Inner<T, B>) -> usize {
     // Diagnostic only: Relaxed reads of both words; the answer is stale
     // the instant it is produced regardless of ordering.
-    let age = AgeWord::unpack(inner.age.0.load(std::sync::atomic::Ordering::Relaxed));
-    let bot = inner.bot.0.load(std::sync::atomic::Ordering::Relaxed);
+    let age = AgeWord::unpack(inner.age.0.load(Ordering::Relaxed));
+    let bot = inner.bot.0.load(Ordering::Relaxed);
     bot.saturating_sub(age.top as u64) as usize
 }
 
@@ -784,14 +1021,16 @@ mod tests {
         assert_eq!(seen, (0..next).collect::<Vec<_>>());
     }
 
-    fn concurrent_conservation_with<P: OrderProfile>() {
+    fn concurrent_conservation_with<P: OrderProfile, B: Buffer>(
+        (w, s): (Worker<u64, P, B>, Stealer<u64, P, B>),
+        n: usize,
+        seed: u64,
+    ) {
         // Every pushed value is consumed exactly once across the owner and
         // 3 thieves. Runs even on a single core: preemption provides the
         // interleaving.
         use std::sync::atomic::{AtomicBool, AtomicU8};
-        const N: usize = 20_000;
-        let (w, s) = new_with_order::<u64, P>(N + 1);
-        let counts: Arc<Vec<AtomicU8>> = Arc::new((0..N).map(|_| AtomicU8::new(0)).collect());
+        let counts: Arc<Vec<AtomicU8>> = Arc::new((0..n).map(|_| AtomicU8::new(0)).collect());
         let done = Arc::new(AtomicBool::new(false));
 
         let mut handles = Vec::new();
@@ -818,8 +1057,8 @@ mod tests {
 
         // Owner: push everything, popping now and then.
         let mut pushed = 0u64;
-        let mut rng = 0xdeadbeefu64;
-        while (pushed as usize) < N {
+        let mut rng = seed;
+        while (pushed as usize) < n {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
             if rng % 4 < 3 {
                 w.push_bottom(pushed).unwrap();
@@ -847,7 +1086,11 @@ mod tests {
 
     #[test]
     fn concurrent_owner_and_thieves_conserve_items() {
-        concurrent_conservation_with::<RelaxedProtocol>();
+        concurrent_conservation_with(
+            new_with_order::<u64, RelaxedProtocol>(20_001),
+            20_000,
+            0xdeadbeef,
+        );
     }
 
     fn batch_chain_vs_owner_keep_path_conserves_with<P: OrderProfile>() {
@@ -929,6 +1172,106 @@ mod tests {
 
     #[test]
     fn concurrent_owner_and_thieves_conserve_items_seqcst_baseline() {
-        concurrent_conservation_with::<SeqCstProtocol>();
+        concurrent_conservation_with(
+            new_with_order::<u64, SeqCstProtocol>(20_001),
+            20_000,
+            0xdeadbeef,
+        );
+    }
+
+    #[test]
+    fn grows_transparently() {
+        let (w, s) = new_growable::<u64>(4);
+        assert_eq!(w.capacity(), 4);
+        for i in 0..1000 {
+            w.push_bottom(i).unwrap();
+        }
+        assert!(w.capacity() >= 1000);
+        for i in 0..500 {
+            assert_eq!(s.pop_top(), Steal::Taken(i));
+        }
+        for i in (500..1000).rev() {
+            assert_eq!(w.pop_bottom(), Some(i));
+        }
+        assert_eq!(w.pop_bottom(), None);
+        assert_eq!(s.pop_top(), Steal::Empty);
+    }
+
+    #[test]
+    fn sequential_spec_with_growth() {
+        use std::collections::VecDeque;
+        let (w, s) = new_growable::<u64>(4);
+        let mut spec: VecDeque<u64> = VecDeque::new();
+        let mut x = 0u64;
+        let mut rng = 0xACE1u64;
+        for _ in 0..20_000 {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+            match rng >> 62 {
+                0 | 1 => {
+                    w.push_bottom(x).unwrap();
+                    spec.push_back(x);
+                    x += 1;
+                }
+                2 => assert_eq!(w.pop_bottom(), spec.pop_back()),
+                _ => assert_eq!(s.pop_top().taken(), spec.pop_front()),
+            }
+            assert_eq!(w.len_hint(), spec.len());
+        }
+    }
+
+    #[test]
+    fn batch_spans_growth_boundaries() {
+        let (w, s) = new_growable::<u64>(4);
+        for i in 0..100 {
+            w.push_bottom(i).unwrap();
+        }
+        // Batches drain in top order across the grown buffer.
+        let mut got = vec![];
+        loop {
+            let b = s.pop_top_batch(8);
+            assert!(!b.aborted, "uncontended grab");
+            assert_eq!(b.duplicates, 0);
+            if b.is_empty() {
+                break;
+            }
+            got.extend(b.tasks);
+        }
+        assert_eq!(got, (0..100).collect::<Vec<_>>());
+        assert_eq!(w.pop_bottom(), None);
+    }
+
+    #[test]
+    fn reset_reclaims_index_space() {
+        let (w, _s) = new_growable::<u64>(4);
+        // Push/drain cycles never grow the array because bot resets.
+        for round in 0..200 {
+            w.push_bottom(round).unwrap();
+            w.push_bottom(round + 1).unwrap();
+            assert_eq!(w.pop_bottom(), Some(round + 1));
+            assert_eq!(w.pop_bottom(), Some(round));
+            assert_eq!(w.pop_bottom(), None);
+        }
+        assert_eq!(w.capacity(), 4);
+    }
+
+    #[test]
+    fn concurrent_conservation_with_growth() {
+        // Tiny initial capacity: forces many growths.
+        let pair = new_growable_with_order::<u64, RelaxedProtocol>(8);
+        concurrent_conservation_with(pair, 30_000, 0x8badf00d);
+    }
+
+    #[test]
+    fn concurrent_conservation_with_growth_seqcst_baseline() {
+        let pair = new_growable_with_order::<u64, SeqCstProtocol>(8);
+        concurrent_conservation_with(pair, 30_000, 0x8badf00d);
+    }
+
+    #[test]
+    fn initial_capacity_rounds_up() {
+        let (w, _s) = new_growable::<u64>(0);
+        assert_eq!(w.capacity(), 4);
+        let (w, _s) = new_growable::<u64>(100);
+        assert_eq!(w.capacity(), 128);
     }
 }

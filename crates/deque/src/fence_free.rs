@@ -83,17 +83,14 @@
 //! `1 (owner) + #handles` extractions per task — the per-process
 //! multiplicity bound of the source paper. The runtime never calls it.
 
-use crate::atomic::{batch_want, PushError, Steal, StolenBatch};
+// `Line` pads `top` and `bot` apart for the same reason as in
+// `crate::atomic`: every scanning thief stores `top`, while the owner
+// stores `bot` on every push/pop.
+use crate::atomic::{batch_want, Line, PushError, Steal, StolenBatch};
 use crate::word::Word;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Pads a word onto its own cache line (same rationale as
-/// [`crate::atomic`]: `top` is stored by every scanning thief while `bot`
-/// is stored by the owner on every push/pop).
-#[repr(align(128))]
-struct Line<T>(T);
 
 struct Inner<T: Word> {
     /// Thief-side hint: index of the next slot to steal. Written by

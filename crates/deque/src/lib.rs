@@ -4,7 +4,10 @@
 //!
 //! * [`atomic`] — the production lock-free deque on real atomics, with a
 //!   single-word `age = {tag, top}` and `cas`, split into a unique
-//!   [`Worker`] owner handle and cloneable [`Stealer`] handles;
+//!   [`Worker`] owner handle and cloneable [`Stealer`] handles. The
+//!   protocol is written once over a [`Buffer`]: the paper's
+//!   [`atomic::Fixed`] array ([`new`]) or an [`atomic::Growable`] one that
+//!   doubles instead of overflowing ([`new_growable`]);
 //! * [`sim_deque`] — the identical pseudocode executed one instruction at
 //!   a time, so the simulator's adversarial kernel can preempt processes
 //!   mid-operation (and so the tag's purpose can be demonstrated);
@@ -16,10 +19,9 @@
 //! paper's companion correctness proof. The checker itself lives in
 //! [`history`], which also records timestamped histories from real
 //! concurrent threads so the same judge runs over the production
-//! [`atomic`] deque.
-
+//! [`atomic`] deque, on both buffers.
 //!
-//! [`order`] names the memory-ordering protocol both real deques follow:
+//! [`order`] names the memory-ordering protocol the real deque follows:
 //! the minimal acquire/release scheme with one `SeqCst` fence per side of
 //! the §3.3 window ([`order::RelaxedProtocol`]), or blanket `SeqCst`
 //! ([`order::SeqCstProtocol`] — the benchmark baseline, and the crate
@@ -27,16 +29,15 @@
 //!
 //! [`task_deque`] is the pluggable backend seam: the [`TaskDeque`] trait
 //! (owner handle + stealer handle + capability constants) behind which
-//! the runtime selects among ABP ([`AbpBackend`]), the growable variant
-//! ([`GrowableBackend`]), the mutex baseline ([`LockingBackend`]), and
-//! [`fence_free`] — the read/write fence-free deque with multiplicity
-//! ([`FenceFreeBackend`]), whose relaxed spec is judged by
-//! [`history::check_multiplicity`] on real histories and by the
+//! the runtime selects among ABP on a fixed ([`AbpBackend`]) or growable
+//! ([`GrowableBackend`]) buffer, the mutex baseline ([`LockingBackend`]),
+//! and [`fence_free`] — the read/write fence-free deque with multiplicity
+//! ([`FenceFreeBackend`]), a separate protocol whose relaxed spec is
+//! judged by [`history::check_multiplicity`] on real histories and by the
 //! exhaustive stepped checker in [`multiplicity`].
 
 pub mod atomic;
 pub mod fence_free;
-pub mod growable;
 pub mod history;
 pub mod locking;
 pub mod model;
@@ -46,9 +47,11 @@ pub mod sim_deque;
 pub mod task_deque;
 pub mod word;
 
-pub use atomic::{new, new_with_order, PushError, Steal, Stealer, StolenBatch, Worker};
+pub use atomic::{
+    new, new_growable, new_growable_with_order, new_with_order, Buffer, GrowableStealer,
+    GrowableWorker, PushError, Steal, Stealer, StolenBatch, Worker,
+};
 pub use fence_free::{new_fence_free, FenceFreeStealer, FenceFreeWorker};
-pub use growable::{new_growable, new_growable_with_order, GrowableStealer, GrowableWorker};
 pub use locking::LockingDeque;
 pub use order::{DefaultProtocol, OrderProfile, RelaxedProtocol, SeqCstProtocol};
 pub use sim_deque::{

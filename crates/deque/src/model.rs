@@ -560,7 +560,7 @@ mod tests {
     }
 
     /// A growth event racing concurrent popTops: with the faithful
-    /// copy-on-grow protocol (the one `crate::growable` implements),
+    /// copy-on-grow protocol (the one [`crate::atomic::Growable`] implements),
     /// every interleaving satisfies the relaxed semantics.
     #[test]
     fn growth_racing_poptop_is_clean_when_copied() {

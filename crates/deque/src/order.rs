@@ -2,8 +2,8 @@
 //!
 //! The Figure-5 pseudocode is written against sequential consistency; the
 //! §3.3 race analysis is what licenses anything weaker. This module names
-//! every ordering the protocol uses, so [`crate::atomic`] and
-//! [`crate::growable`] can be instantiated either with the minimal correct
+//! every ordering the protocol uses, so [`crate::atomic`] — over either
+//! buffer — can be instantiated either with the minimal correct
 //! protocol ([`RelaxedProtocol`]) or with blanket `SeqCst` on every access
 //! ([`SeqCstProtocol`]) — the latter is the measured *baseline* for the
 //! `hotpath` benchmarks and the crate-wide default when the
@@ -15,10 +15,11 @@
 //! Each relaxed access in the deque cites one of these by name (the
 //! DESIGN.md §7 table maps them back to the Figure 4/5 lines):
 //!
-//! * **INV-OWNER (owner-private reads)** — `bot` (and the growable
-//!   deque's buffer pointer) has a *single writer*: the owner. Per-location
-//!   coherence alone guarantees the owner reads its own latest write, so
-//!   owner loads of owner-written locations need no ordering.
+//! * **INV-OWNER (owner-private reads)** — `bot` (and the
+//!   [`crate::atomic::Growable`] buffer pointer) has a *single writer*:
+//!   the owner. Per-location coherence alone guarantees the owner reads
+//!   its own latest write, so owner loads of owner-written locations need
+//!   no ordering.
 //! * **INV-PUSH (push publication)** — `pushBottom` stores the node into
 //!   `deq[bot]` and *then* stores `bot+1` with `Release`; a thief that
 //!   `Acquire`-loads the advanced `bot` therefore sees the slot contents.

@@ -69,12 +69,12 @@ pub struct SimDeque {
     mem_model: MemModel,
     /// `Some(cap)` models a bounded backing array that the owner grows
     /// (doubles) when `pushBottom` finds it full, like
-    /// [`crate::growable`]; `None` (the default) is the paper's
+    /// [`crate::atomic::Growable`]; `None` (the default) is the paper's
     /// "big enough" array, which simply resizes on demand with no
     /// observable growth event.
     cap: Option<usize>,
     /// In growth mode: whether growing copies the live region into the
-    /// new buffer (the faithful [`crate::growable`] protocol) or
+    /// new buffer (the faithful [`crate::atomic::Growable`] protocol) or
     /// publishes a fresh zeroed buffer (a deliberately broken variant
     /// for the model checker to catch).
     copy_on_grow: bool,
@@ -140,7 +140,7 @@ impl SimDeque {
 
     /// An empty deque with a *bounded* backing array of `cap` slots that
     /// the owner doubles when `pushBottom` finds it full, modeling the
-    /// growable deque of [`crate::growable`]. The growth happens inside
+    /// growable deque of [`crate::atomic::Growable`]. The growth happens inside
     /// `pushBottom`'s slot-store instruction (publish-then-store, one
     /// shared-memory step), so thieves can observe the new buffer between
     /// their own instructions. `copy_on_grow = false` builds the broken
@@ -171,7 +171,7 @@ impl SimDeque {
     }
 
     /// Grows the bounded backing array to twice its capacity. Faithful
-    /// growth copies the old contents (buffers in [`crate::growable`]
+    /// growth copies the old contents (buffers in [`crate::atomic::Growable`]
     /// are immutable once superseded, so copying is equivalent to a
     /// thief finishing its read from the retired buffer); the broken
     /// variant publishes a fresh zeroed buffer.

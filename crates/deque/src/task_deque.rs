@@ -31,10 +31,13 @@
 //! the simulator's locking model delegates its queue state to the real
 //! [`LockingDeque`] through these same traits.
 
-use crate::atomic::{batch_want, PushError, Steal, Stealer, StolenBatch, Worker};
+use crate::atomic::{
+    batch_want, Buffer, GrowableStealer, GrowableWorker, PushError, Steal, Stealer, StolenBatch,
+    Worker,
+};
 use crate::fence_free::{FenceFreeStealer, FenceFreeWorker};
-use crate::growable::{GrowableStealer, GrowableWorker};
 use crate::locking::LockingDeque;
+use crate::order::DefaultProtocol;
 use crate::word::Word;
 
 /// The owner-side handle: `pushBottom` / `popBottom`, plus the size
@@ -119,22 +122,10 @@ pub trait TaskDeque<T: Word>: Clone + Send + Sync + std::fmt::Debug + 'static {
 }
 
 // ---------------------------------------------------------------------
-// ABP (fixed capacity)
+// ABP, over a fixed or a growable buffer
 // ---------------------------------------------------------------------
 
-/// The non-blocking ABP deque (Figure 5) with a fixed array capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AbpBackend {
-    pub capacity: usize,
-}
-
-impl Default for AbpBackend {
-    fn default() -> Self {
-        AbpBackend { capacity: 1 << 15 }
-    }
-}
-
-impl<T: Word + Send + Sync + 'static> DequeOwner<T> for Worker<T> {
+impl<T: Word + Send + Sync + 'static, B: Buffer> DequeOwner<T> for Worker<T, DefaultProtocol, B> {
     fn push_bottom(&self, v: T) -> Result<(), PushError<T>> {
         Worker::push_bottom(self, v)
     }
@@ -146,7 +137,9 @@ impl<T: Word + Send + Sync + 'static> DequeOwner<T> for Worker<T> {
     }
 }
 
-impl<T: Word + Send + Sync + 'static> DequeStealer<T> for Stealer<T> {
+impl<T: Word + Send + Sync + 'static, B: Buffer> DequeStealer<T>
+    for Stealer<T, DefaultProtocol, B>
+{
     fn steal(&self) -> Steal<T> {
         self.pop_top()
     }
@@ -155,6 +148,18 @@ impl<T: Word + Send + Sync + 'static> DequeStealer<T> for Stealer<T> {
     }
     fn steal_batch_into(&self, max: usize, out: &mut StolenBatch<T>) {
         self.pop_top_batch_into(max, out)
+    }
+}
+
+/// The non-blocking ABP deque (Figure 5) with a fixed array capacity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AbpBackend {
+    pub capacity: usize,
+}
+
+impl Default for AbpBackend {
+    fn default() -> Self {
+        AbpBackend { capacity: 1 << 15 }
     }
 }
 
@@ -170,10 +175,6 @@ impl<T: Word + Send + Sync + 'static> TaskDeque<T> for AbpBackend {
     }
 }
 
-// ---------------------------------------------------------------------
-// ABP growable
-// ---------------------------------------------------------------------
-
 /// The growable ABP deque (retire-list buffers): never overflows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GrowableBackend {
@@ -188,31 +189,6 @@ impl Default for GrowableBackend {
     }
 }
 
-impl<T: Word + Send + Sync + 'static> DequeOwner<T> for GrowableWorker<T> {
-    fn push_bottom(&self, v: T) -> Result<(), PushError<T>> {
-        GrowableWorker::push_bottom(self, v);
-        Ok(())
-    }
-    fn pop_bottom(&self) -> Option<T> {
-        GrowableWorker::pop_bottom(self)
-    }
-    fn len_hint(&self) -> usize {
-        GrowableWorker::len_hint(self)
-    }
-}
-
-impl<T: Word + Send + Sync + 'static> DequeStealer<T> for GrowableStealer<T> {
-    fn steal(&self) -> Steal<T> {
-        self.pop_top()
-    }
-    fn len_hint(&self) -> usize {
-        GrowableStealer::len_hint(self)
-    }
-    fn steal_batch_into(&self, max: usize, out: &mut StolenBatch<T>) {
-        self.pop_top_batch_into(max, out)
-    }
-}
-
 impl<T: Word + Send + Sync + 'static> TaskDeque<T> for GrowableBackend {
     type Owner = GrowableWorker<T>;
     type Stealer = GrowableStealer<T>;
@@ -221,7 +197,7 @@ impl<T: Word + Send + Sync + 'static> TaskDeque<T> for GrowableBackend {
     const NAME: &'static str = "abp-growable";
 
     fn new_pair(&self) -> (Self::Owner, Self::Stealer) {
-        crate::growable::new_growable::<T>(self.initial_capacity)
+        crate::atomic::new_growable::<T>(self.initial_capacity)
     }
 }
 

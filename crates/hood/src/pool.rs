@@ -272,10 +272,9 @@ pub struct PoolConfig {
     /// still *counted*, just not avoided — the control FD1 measures
     /// hierarchical stealing against.
     pub flat_scan: bool,
-    /// Which sleep/wake implementation idle workers park through. The
-    /// default tracks the `sleep-condvar-fallback` feature: the
-    /// eventcount normally, the legacy pool-wide condvar under the
-    /// feature (the measurable baseline for experiment ID1).
+    /// Which sleep/wake implementation idle workers park through: the
+    /// eventcount by default, or the legacy pool-wide condvar (the
+    /// measurable baseline for experiment ID1).
     pub sleep: SleepKind,
     /// Structured tracing: `Some(config)` records events and histograms
     /// into per-worker rings; `None` (the default) records nothing and

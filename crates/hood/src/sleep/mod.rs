@@ -62,9 +62,9 @@
 //! # Fallback
 //!
 //! [`SleepKind::CondvarFallback`] keeps the legacy pool-wide lock +
-//! `notify_all` + timed-park protocol as a baseline for the ID1
-//! experiment (and the `sleep-condvar-fallback` feature flips the
-//! default, mirroring PR 4's `seqcst-fallback`).
+//! `notify_all` + timed-park protocol as a baseline, selected at run
+//! time through `PoolConfig::sleep`; the ID1 experiment and the
+//! `hotpath` benchmarks read it. The eventcount is the default.
 
 pub mod model;
 
@@ -95,30 +95,15 @@ fn epoch_of(word: u64) -> u64 {
 }
 
 /// Which sleep/wake implementation a pool uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SleepKind {
     /// The eventcount protocol: targeted wake-one, untimed parks.
+    #[default]
     Eventcount,
     /// The legacy pool-wide `Mutex`+`Condvar`: `notify_all` on every
     /// submission and 100 µs timed parks to paper over the missed-wakeup
     /// race. Kept as the measurable baseline.
     CondvarFallback,
-}
-
-// Not a `#[derive(Default)]` because the default variant is
-// feature-dependent, mirroring `abp-deque`'s `seqcst-fallback`.
-#[allow(clippy::derivable_impls)]
-impl Default for SleepKind {
-    fn default() -> Self {
-        #[cfg(feature = "sleep-condvar-fallback")]
-        {
-            SleepKind::CondvarFallback
-        }
-        #[cfg(not(feature = "sleep-condvar-fallback"))]
-        {
-            SleepKind::Eventcount
-        }
-    }
 }
 
 /// How a committed park ended.
@@ -476,9 +461,6 @@ mod tests {
 
     #[test]
     fn default_kind_tracks_feature() {
-        #[cfg(feature = "sleep-condvar-fallback")]
-        assert_eq!(SleepKind::default(), SleepKind::CondvarFallback);
-        #[cfg(not(feature = "sleep-condvar-fallback"))]
         assert_eq!(SleepKind::default(), SleepKind::Eventcount);
     }
 

@@ -17,6 +17,10 @@
 //! * Wing–Gong linearizability of the non-Abort operations against a
 //!   serial deque.
 //!
+//! Every ABP history runs over both buffers: the fixed array and a
+//! growable one started at capacity 4, so buffer growth fires while
+//! thieves are mid-steal.
+//!
 //! Histories are kept small (an owner running ~8 ops against three
 //! thieves running 4 `popTop`s each) so the Wing–Gong search stays
 //! cheap, and the case count high (800 seeded histories — 10× the
@@ -39,17 +43,24 @@ use multiprog_ws::deque::history::{
     check, check_multiplicity, check_multiplicity_with_batches, check_with_batches,
     BatchInvocation, Invocation, MultiplicitySpec, OpResult, ProgOp, Recorder,
 };
-use multiprog_ws::deque::{new, new_fence_free, SimSteal, Steal};
+use multiprog_ws::deque::{
+    new, new_fence_free, new_growable, Buffer, DefaultProtocol, SimSteal, Steal, Stealer, Worker,
+};
 
 const OWNER_OPS: usize = 8;
 const THIEVES: usize = 3;
 const STEALS_PER_THIEF: usize = 4;
 const HISTORIES: u64 = 800;
 
+/// An ABP deque's owner and thief handles, over buffer `B`.
+type Abp<B> = (
+    Worker<u64, DefaultProtocol, B>,
+    Stealer<u64, DefaultProtocol, B>,
+);
+
 /// Runs one seeded owner-vs-thieves episode over the real deque and
 /// returns its recorded history.
-fn record_history(seed: u64) -> Vec<multiprog_ws::deque::history::Invocation> {
-    let (worker, stealer) = new::<u64>(64);
+fn record_history<B: Buffer>((worker, stealer): Abp<B>, seed: u64) -> Vec<Invocation> {
     let rec = Arc::new(Recorder::new());
     let barrier = Arc::new(Barrier::new(1 + THIEVES));
 
@@ -105,28 +116,35 @@ fn atomic_deque_histories_satisfy_relaxed_semantics() {
     let mut aborts = 0u64;
     let mut takes = 0u64;
     for seed in 0..HISTORIES {
-        let history = record_history(0xAB90_0000 + seed);
-        assert_eq!(
-            history.len(),
-            OWNER_OPS + THIEVES * STEALS_PER_THIEF,
-            "seed {seed}: incomplete history"
-        );
-        for inv in &history {
-            match inv.result {
-                OpResult::Stolen(SimSteal::Abort) => aborts += 1,
-                OpResult::Stolen(SimSteal::Taken(_)) => takes += 1,
-                _ => {}
+        let seed = 0xAB90_0000 + seed;
+        for (buffer, history) in [
+            ("fixed", record_history(new(64), seed)),
+            ("growable", record_history(new_growable(4), seed)),
+        ] {
+            assert_eq!(
+                history.len(),
+                OWNER_OPS + THIEVES * STEALS_PER_THIEF,
+                "seed {seed} ({buffer}): incomplete history"
+            );
+            for inv in &history {
+                match inv.result {
+                    OpResult::Stolen(SimSteal::Abort) => aborts += 1,
+                    OpResult::Stolen(SimSteal::Taken(_)) => takes += 1,
+                    _ => {}
+                }
             }
-        }
-        if let Err(reason) = check(&history) {
-            panic!("seed {seed}: relaxed-semantics violation: {reason}\nhistory: {history:#?}");
+            if let Err(reason) = check(&history) {
+                panic!(
+                    "seed {seed} ({buffer}): relaxed-semantics violation: {reason}\nhistory: {history:#?}"
+                );
+            }
         }
     }
     // The episodes must actually exercise contention: across the suite
     // thieves steal real values. (Aborts are timing-dependent, so only
     // report them rather than asserting.)
     assert!(takes > 0, "no steal ever succeeded across {HISTORIES} runs");
-    eprintln!("checked {HISTORIES} histories: {takes} takes, {aborts} aborts");
+    eprintln!("checked {HISTORIES} histories per buffer: {takes} takes, {aborts} aborts");
 }
 
 /// Runs one seeded owner-vs-thieves episode over the real *fence-free*
@@ -328,7 +346,7 @@ fn multiplicity_checker_rejects_corrupted_real_histories() {
 /// history (duplicating a consumed value) makes it fail.
 #[test]
 fn checker_rejects_a_corrupted_real_history() {
-    let mut history = record_history(0xBAD_5EED);
+    let mut history = record_history(new(64), 0xBAD_5EED);
     // Find a consumed value and forge a second consumption of it.
     let stolen = history.iter().find_map(|inv| match inv.result {
         OpResult::Stolen(SimSteal::Taken(v)) => Some(v),
@@ -372,8 +390,10 @@ fn checker_rejects_a_corrupted_real_history() {
 /// multi-task `pop_top_batch(3)` grabs against the real atomic deque.
 /// The owner pre-loads a burst so the early batches see real backlog,
 /// then churns as usual. Returns the plain history plus the batch log.
-fn record_batch_history(seed: u64) -> (Vec<Invocation>, Vec<BatchInvocation>) {
-    let (worker, stealer) = new::<u64>(64);
+fn record_batch_history<B: Buffer>(
+    (worker, stealer): Abp<B>,
+    seed: u64,
+) -> (Vec<Invocation>, Vec<BatchInvocation>) {
     let rec = Arc::new(Recorder::new());
     let barrier = Arc::new(Barrier::new(1 + THIEVES));
 
@@ -451,13 +471,18 @@ fn record_batch_history(seed: u64) -> (Vec<Invocation>, Vec<BatchInvocation>) {
 fn atomic_deque_batched_histories_satisfy_relaxed_semantics() {
     let (mut batches, mut multi_task) = (0u64, 0u64);
     for seed in 0..HISTORIES / 2 {
-        let (history, batch_log) = record_batch_history(0xBA7C_0000 + seed);
-        batches += batch_log.len() as u64;
-        multi_task += batch_log.iter().filter(|b| b.tasks.len() >= 2).count() as u64;
-        if let Err(reason) = check_with_batches(&history, &batch_log, false) {
-            panic!(
-                "seed {seed}: batched violation: {reason}\nhistory: {history:#?}\nbatches: {batch_log:#?}"
-            );
+        let seed = 0xBA7C_0000 + seed;
+        for (buffer, (history, batch_log)) in [
+            ("fixed", record_batch_history(new(64), seed)),
+            ("growable", record_batch_history(new_growable(4), seed)),
+        ] {
+            batches += batch_log.len() as u64;
+            multi_task += batch_log.iter().filter(|b| b.tasks.len() >= 2).count() as u64;
+            if let Err(reason) = check_with_batches(&history, &batch_log, false) {
+                panic!(
+                    "seed {seed} ({buffer}): batched violation: {reason}\nhistory: {history:#?}\nbatches: {batch_log:#?}"
+                );
+            }
         }
     }
     assert!(batches > 0, "no batch ever claimed a task");
@@ -467,7 +492,7 @@ fn atomic_deque_batched_histories_satisfy_relaxed_semantics() {
         HISTORIES / 2
     );
     eprintln!(
-        "checked {} batched histories: {batches} non-empty batches, {multi_task} multi-task",
+        "checked {} batched histories per buffer: {batches} non-empty batches, {multi_task} multi-task",
         HISTORIES / 2
     );
 }
@@ -481,8 +506,10 @@ fn atomic_deque_batched_histories_satisfy_relaxed_semantics() {
 /// index (the INV-SB-REVAL race; the deep-burst episode above almost
 /// never generates it because the owner rarely drains to within the
 /// claimed range mid-chain).
-fn record_batch_history_shallow(seed: u64) -> (Vec<Invocation>, Vec<BatchInvocation>) {
-    let (worker, stealer) = new::<u64>(64);
+fn record_batch_history_shallow<B: Buffer>(
+    (worker, stealer): Abp<B>,
+    seed: u64,
+) -> (Vec<Invocation>, Vec<BatchInvocation>) {
     let rec = Arc::new(Recorder::new());
     let barrier = Arc::new(Barrier::new(1 + THIEVES));
     let backlog = 2 + (seed % 5) as usize; // 2..=6
@@ -554,13 +581,21 @@ fn record_batch_history_shallow(seed: u64) -> (Vec<Invocation>, Vec<BatchInvocat
 fn atomic_deque_shallow_batched_histories_satisfy_relaxed_semantics() {
     let (mut batches, mut multi_task) = (0u64, 0u64);
     for seed in 0..HISTORIES / 2 {
-        let (history, batch_log) = record_batch_history_shallow(0x5A11_0000 + seed);
-        batches += batch_log.len() as u64;
-        multi_task += batch_log.iter().filter(|b| b.tasks.len() >= 2).count() as u64;
-        if let Err(reason) = check_with_batches(&history, &batch_log, false) {
-            panic!(
-                "seed {seed}: shallow batched violation: {reason}\nhistory: {history:#?}\nbatches: {batch_log:#?}"
-            );
+        let seed = 0x5A11_0000 + seed;
+        for (buffer, (history, batch_log)) in [
+            ("fixed", record_batch_history_shallow(new(64), seed)),
+            (
+                "growable",
+                record_batch_history_shallow(new_growable(4), seed),
+            ),
+        ] {
+            batches += batch_log.len() as u64;
+            multi_task += batch_log.iter().filter(|b| b.tasks.len() >= 2).count() as u64;
+            if let Err(reason) = check_with_batches(&history, &batch_log, false) {
+                panic!(
+                    "seed {seed} ({buffer}): shallow batched violation: {reason}\nhistory: {history:#?}\nbatches: {batch_log:#?}"
+                );
+            }
         }
     }
     assert!(batches > 0, "no batch ever claimed a task");
@@ -570,7 +605,7 @@ fn atomic_deque_shallow_batched_histories_satisfy_relaxed_semantics() {
         HISTORIES / 2
     );
     eprintln!(
-        "checked {} shallow batched histories: {batches} non-empty batches, {multi_task} multi-task",
+        "checked {} shallow batched histories per buffer: {batches} non-empty batches, {multi_task} multi-task",
         HISTORIES / 2
     );
 }
@@ -582,7 +617,7 @@ fn atomic_deque_shallow_batched_histories_satisfy_relaxed_semantics() {
 #[test]
 fn batch_checker_rejects_a_forged_lost_task_in_range() {
     for seed in 0..HISTORIES / 2 {
-        let (history, mut batch_log) = record_batch_history(0xDEAD_0000 + seed);
+        let (history, mut batch_log) = record_batch_history(new(64), 0xDEAD_0000 + seed);
         let Some(b) = batch_log.iter_mut().find(|b| b.tasks.len() >= 2) else {
             continue;
         };

@@ -4,10 +4,7 @@
 //! legacy condvar fallback.
 //!
 //! Every test pins its `SleepKind` explicitly through
-//! [`PoolConfig::with_sleep`], so the whole file passes unchanged under
-//! both the default build and `--features sleep-condvar-fallback` (the
-//! feature only moves `SleepKind::default()`, which these tests never
-//! rely on).
+//! [`PoolConfig::with_sleep`] and never relies on `SleepKind::default()`.
 
 use hood::{IdleKind, PolicySet, PoolConfig, SleepKind, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
