@@ -1190,7 +1190,7 @@ pub fn telemetry() -> ExpResult {
         .iter()
         .map(|w| w.steals_with(StealOutcome::Hit))
         .sum();
-    pass &= sim_hits == r.successful_steals;
+    pass &= sim_hits == r.steals;
     writeln!(
         body,
         "sim: fib(14,3) on P={p} under a benign kernel, {} rounds;\n\
@@ -1291,7 +1291,7 @@ pub fn policies(small: bool) -> ExpResult {
                         r.rounds.to_string(),
                         r.throws.to_string(),
                         r.steal_attempts.to_string(),
-                        r.successful_steals.to_string(),
+                        r.steals.to_string(),
                         f3(r.bound_ratio()),
                     ]);
                     if !sim_json.is_empty() {
@@ -1310,9 +1310,9 @@ pub fn policies(small: bool) -> ExpResult {
                         r.rounds,
                         r.throws,
                         r.steal_attempts,
-                        r.successful_steals,
-                        r.steal_aborts,
-                        r.steal_empties,
+                        r.steals,
+                        r.aborts,
+                        r.empties,
                         r.bound_ratio(),
                         ps.preserves_milestones(),
                     )
@@ -1704,13 +1704,13 @@ pub fn hotpath() -> ExpResult {
         let ok = r.completed
             && r.steal_accounting_balanced()
             && r.steal_attempts == g_attempts
-            && r.successful_steals == g_steals
+            && r.steals == g_steals
             && r.throws == g_throws;
         pass &= ok;
         t.row([
             name.to_string(),
             r.steal_attempts.to_string(),
-            r.successful_steals.to_string(),
+            r.steals.to_string(),
             r.throws.to_string(),
             if ok { "match" } else { "DRIFT" }.to_string(),
         ]);
@@ -1720,7 +1720,7 @@ pub fn hotpath() -> ExpResult {
         write!(
             sim_json,
             "    {{\"case\":\"{}\",\"attempts\":{},\"steals\":{},\"throws\":{},\"golden\":{}}}",
-            name, r.steal_attempts, r.successful_steals, r.throws, ok
+            name, r.steal_attempts, r.steals, r.throws, ok
         )
         .unwrap();
     }
@@ -2681,7 +2681,7 @@ pub fn theory(small: bool) -> ExpResult {
                     let cfg = ws_defaults(seed).with_policies(PolicySet::paper().with_victim(*vk));
                     let r = run_ws(&dag, p, &mut k, cfg);
                     pass &= r.completed && r.steal_accounting_balanced();
-                    let check = StealBoundCheck::rooted_tree(r.successful_steals, 2, h2, edges, p);
+                    let check = StealBoundCheck::rooted_tree(r.steals, 2, h2, edges, p);
                     pass &= check.holds();
                     if check.observed >= worst.observed {
                         worst = check;
@@ -3270,7 +3270,7 @@ pub fn federation(small: bool) -> ExpResult {
 ///    fix does not touch;
 /// 2. in the K = 4 simulator, remote round trips per migrated task
 ///    (attempts minus batch free-riders, over migrated tasks —
-///    [`RunReport::remote_trips_per_migrated_task`]) drop ≥ 2× when
+///    [`abp_sim::Counters::remote_trips_per_migrated_task`]) drop ≥ 2× when
 ///    `BatchKind::Half` replaces `Single` (averaged over seeds, with
 ///    identity + locality + batch invariants per run, and the
 ///    batched arm actually batches);

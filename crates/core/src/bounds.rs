@@ -58,7 +58,7 @@ pub fn rooted_tree_steal_bound(branching: u64, height: u64, procs: usize) -> f64
 /// a bound value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StealBoundCheck {
-    /// Successful steals the run performed (`StealTally::hits`).
+    /// Successful steals the run performed (`Counters::steals`).
     pub observed: u64,
     /// The applicable upper bound.
     pub bound: f64,

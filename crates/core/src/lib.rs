@@ -55,10 +55,13 @@
 //! ([`CacheBoundCheck`]), both reporting gap ratios rather than bare
 //! pass/fail.
 //!
-//! [`StealTally`] is the shared attempt accounting; it maintains the
-//! identity `attempts == hits + aborts + empties + injects` that both
-//! surfaces assert (`injects` stays zero on surfaces without an
-//! injector, reducing to the classic three-way identity).
+//! [`Counters`] is the one counter table both surfaces record into
+//! ([`tally`]): the runtime through its atomic mirror
+//! [`AtomicCounters`], the simulator directly. Its identities
+//! (`steal_attempts == steals + aborts + empties + injects + duplicates`
+//! and the locality, batch and park splits) and the structural zeros a
+//! configuration implies ([`Structure`]) are written once and checked by
+//! both at the end of every run.
 //!
 //! ```
 //! use abp_core::{PolicyEngine, PolicySet, PolicyRng, StealResult};
@@ -97,7 +100,7 @@ pub use idle::{IdleAction, IdleKind, IdlePolicy, ParkAfter, ParkUntilWakeIdle, S
 pub use inject::{EveryScan, InjectKind, InjectPolicy, NeverInject};
 pub use rng::PolicyRng;
 pub use split::SplitKind;
-pub use tally::{StealResult, StealTally};
+pub use tally::{AtomicCounters, Counters, StealResult, Structure};
 pub use victim::{
     LastEnabler, LastVictim, RoundRobinVictim, UniformVictim, VictimKind, VictimSelector,
 };

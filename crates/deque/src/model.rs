@@ -12,7 +12,10 @@
 //!
 //! The state space of a scenario with a handful of operations is small
 //! (thousands to a few million interleavings), so the exploration is a
-//! plain depth-first search with no state hashing.
+//! plain depth-first search with no state hashing. There is one search:
+//! a [`Scenario`] runs as a [`BatchScenario`] whose thieves only
+//! `PopTop`, and with no batch in the history the batch judge is the
+//! plain one.
 
 use crate::sim_deque::{DequeOp, SimDeque, StepOutcome};
 
@@ -59,19 +62,6 @@ impl Report {
     }
 }
 
-#[derive(Clone)]
-struct ProcState {
-    program: Vec<ProgOp>,
-    next_op: usize,
-    current: Option<(DequeOp, ProgOp, u64)>, // op, kind, start step
-}
-
-impl ProcState {
-    fn done(&self) -> bool {
-        self.current.is_none() && self.next_op >= self.program.len()
-    }
-}
-
 /// Explores every interleaving of `scenario` on a deque with the tag
 /// mechanism enabled (`tagged = true`) or disabled.
 ///
@@ -96,59 +86,16 @@ pub fn explore(scenario: &Scenario, tagged: bool) -> Report {
 /// initial deque — e.g. [`SimDeque::with_growth`] to model the growable
 /// deque's buffer replacement racing concurrent `popTop`s.
 pub fn explore_on(scenario: &Scenario, initial: SimDeque) -> Report {
-    let procs: Vec<ProcState> = scenario
-        .programs
-        .iter()
-        .map(|p| ProcState {
-            program: p.clone(),
-            next_op: 0,
-            current: None,
-        })
-        .collect();
-    let mut report = Report {
-        histories: 0,
-        violating: 0,
-        example: None,
+    let batches = BatchScenario {
+        owner: scenario.programs[0].clone(),
+        thieves: scenario.programs[1..]
+            .iter()
+            .map(|p| vec![ThiefOp::PopTop; p.len()])
+            .collect(),
     };
-    let mut history = Vec::new();
-    let mut deque = initial;
-    dfs(&mut deque, procs, 0, &mut history, &mut report);
-    report
-}
-
-fn dfs(
-    deque: &mut SimDeque,
-    procs: Vec<ProcState>,
-    step: u64,
-    history: &mut Vec<Invocation>,
-    report: &mut Report,
-) {
-    if procs.iter().all(|p| p.done()) {
-        report.histories += 1;
-        if let Err(reason) = check(history) {
-            report.violating += 1;
-            if report.example.is_none() {
-                report.example = Some(Violation {
-                    reason,
-                    history: history.clone(),
-                });
-            }
-        }
-        return;
-    }
-    for i in 0..procs.len() {
-        if procs[i].done() {
-            continue;
-        }
-        // Step process i by one instruction on a cloned world.
-        let mut d2 = deque.clone();
-        let mut p2 = procs.clone();
-        let pushed_hist = step_proc(&mut d2, &mut p2[i], i, step, history);
-        dfs(&mut d2, p2, step + 1, history, report);
-        if pushed_hist {
-            history.pop();
-        }
-    }
+    // No thief batches, so the chain variant is never consulted and the
+    // batch judge reduces to the plain one (`check`).
+    explore_batches(&batches, initial, true)
 }
 
 /// One step of a thief program in a [`BatchScenario`]: a plain `popTop`
@@ -182,14 +129,14 @@ enum BCurrent {
 }
 
 #[derive(Clone)]
-struct BProc {
-    owner_prog: Vec<ProgOp>,
-    thief_prog: Vec<ThiefOp>,
+struct BProc<'a> {
+    owner_prog: &'a [ProgOp],
+    thief_prog: &'a [ThiefOp],
     next_op: usize,
     current: Option<BCurrent>,
 }
 
-impl BProc {
+impl BProc<'_> {
     fn done(&self) -> bool {
         let len = self.owner_prog.len().max(self.thief_prog.len());
         self.current.is_none() && self.next_op >= len
@@ -210,15 +157,15 @@ enum Logged {
 /// (see the tests), which is the non-vacuity check for the former.
 pub fn explore_batches(scenario: &BatchScenario, initial: SimDeque, revalidate: bool) -> Report {
     let mut procs = vec![BProc {
-        owner_prog: scenario.owner.clone(),
-        thief_prog: Vec::new(),
+        owner_prog: &scenario.owner,
+        thief_prog: &[],
         next_op: 0,
         current: None,
     }];
     for t in &scenario.thieves {
         procs.push(BProc {
-            owner_prog: Vec::new(),
-            thief_prog: t.clone(),
+            owner_prog: &[],
+            thief_prog: t,
             next_op: 0,
             current: None,
         });
@@ -245,7 +192,7 @@ pub fn explore_batches(scenario: &BatchScenario, initial: SimDeque, revalidate: 
 
 fn dfs_batches(
     deque: &mut SimDeque,
-    procs: Vec<BProc>,
+    procs: Vec<BProc<'_>>,
     revalidate: bool,
     step: u64,
     history: &mut Vec<Invocation>,
@@ -288,7 +235,7 @@ fn dfs_batches(
 /// Advances one instruction of batch-scenario process `i`.
 fn step_bproc(
     deque: &mut SimDeque,
-    p: &mut BProc,
+    p: &mut BProc<'_>,
     proc_idx: usize,
     revalidate: bool,
     step: u64,
@@ -361,50 +308,6 @@ fn step_bproc(
                 }
                 other => unreachable!("batch op produced {other:?}"),
             }
-        }
-    }
-}
-
-/// Advances one instruction of process `i`; returns true if an invocation
-/// completed (and was appended to `history`).
-fn step_proc(
-    deque: &mut SimDeque,
-    p: &mut ProcState,
-    proc_idx: usize,
-    step: u64,
-    history: &mut Vec<Invocation>,
-) -> bool {
-    if p.current.is_none() {
-        let kind = p.program[p.next_op];
-        p.next_op += 1;
-        let op = match kind {
-            ProgOp::Push(v) => DequeOp::push_bottom(v),
-            ProgOp::PopBottom => DequeOp::pop_bottom(),
-            ProgOp::PopTop => DequeOp::pop_top(),
-        };
-        p.current = Some((op, kind, step));
-    }
-    let (op, kind, start) = p.current.as_mut().unwrap();
-    let outcome = op.step(deque);
-    let (kind, start) = (*kind, *start);
-    match outcome {
-        StepOutcome::Continue => false,
-        done => {
-            let result = match done {
-                StepOutcome::PushDone => OpResult::Pushed,
-                StepOutcome::PopBottomDone(r) => OpResult::Popped(r),
-                StepOutcome::PopTopDone(r) => OpResult::Stolen(r),
-                StepOutcome::Continue | StepOutcome::PopTopBatchDone(_) => unreachable!(),
-            };
-            history.push(Invocation {
-                proc: proc_idx,
-                start,
-                end: step,
-                kind,
-                result,
-            });
-            p.current = None;
-            true
         }
     }
 }

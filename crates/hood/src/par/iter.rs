@@ -11,12 +11,12 @@
 //! closures are shared by reference — and hands it to one of two drive
 //! loops:
 //!
-//! * [`drive_fold`] — the general engine: consult the [`Splitter`]; on a
+//! * `drive_fold` — the general engine: consult the [`Splitter`]; on a
 //!   split, `join` the two halves and combine their accumulators (the
 //!   combine tree mirrors the recursion, so non-commutative reductions
 //!   keep slice order); otherwise fold the whole remaining range in one
 //!   tight sequential loop.
-//! * [`drive_fill`] — the indexed engine behind `map_collect`: exact-
+//! * `drive_fill` — the indexed engine behind `map_collect`: exact-
 //!   length pipelines write each result straight into a pre-sized uninit
 //!   spine (no per-node `Vec`s, no `Default` pre-fill — one allocation
 //!   total).
@@ -297,6 +297,20 @@ where
     }
 }
 
+/// Drives `d` through [`drive_fill`] into one pre-sized spine and returns
+/// it as a `Vec`. If a closure panics mid-drive the spine is abandoned
+/// with length zero: already-written elements leak, never double-drop.
+pub(crate) fn collect_spine<D: IndexedDriver>(d: D, sp: Splitter) -> Vec<D::Item> {
+    let len = d.len();
+    let mut out: Vec<D::Item> = Vec::with_capacity(len);
+    let written = drive_fill(d, sp, &mut out.spare_capacity_mut()[..len]);
+    assert_eq!(written, len, "indexed driver under-filled its spine");
+    // SAFETY: exactly `len` slots were written (checked above), each
+    // exactly once (disjoint `split_at_mut` halves).
+    unsafe { out.set_len(len) };
+    out
+}
+
 // ---------------------------------------------------------------------
 // The public combinator surface.
 // ---------------------------------------------------------------------
@@ -422,15 +436,7 @@ pub trait IndexedParIterator: ParIterator {
     /// panics mid-drive the spine is abandoned with length zero:
     /// already-written elements are leaked, never double-dropped.
     fn map_collect(mut self) -> Vec<Self::Item> {
-        let d = self.indexed_driver();
-        let len = d.len();
-        let mut out: Vec<Self::Item> = Vec::with_capacity(len);
-        let written = drive_fill(d, Splitter::new(), &mut out.spare_capacity_mut()[..len]);
-        assert_eq!(written, len, "indexed driver under-filled its spine");
-        // SAFETY: exactly `len` slots were written (checked above), each
-        // exactly once (disjoint `split_at_mut` halves).
-        unsafe { out.set_len(len) };
-        out
+        collect_spine(self.indexed_driver(), Splitter::new())
     }
 }
 

@@ -17,7 +17,7 @@
 //! execution on one process, breadth-first stealing from many, graceful
 //! degradation when the kernel revokes processors — and adds one of its
 //! own: **how much** a computation forks is decided at run time by the
-//! [`Splitter`](split::Splitter), from the sleep subsystem's idle-worker
+//! [`Splitter`], from the sleep subsystem's idle-worker
 //! gauge, instead of by a compile-time `grain` guess. See [`split`] for
 //! the heuristic and [`iter`] for the combinator architecture.
 //!

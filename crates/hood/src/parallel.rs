@@ -3,7 +3,7 @@
 //! explicit joins (a deliberately minimal analog of data-parallel
 //! libraries' cores). The richer combinator surface lives in
 //! [`crate::par`]; these helpers remain as the stable flat-function
-//! entry points and now share its adaptive splitter.
+//! entry points, thin shims over its drive loops and its splitter.
 //!
 //! All helpers are plain recursive divide-and-conquer over `join`, so
 //! they inherit the scheduler's properties: depth-first execution on one
@@ -14,7 +14,7 @@
 //! # The `grain` parameter
 //!
 //! * `grain == 0` — **auto** (recommended): leaf size is decided at run
-//!   time by the adaptive [`Splitter`](crate::par::Splitter), which
+//!   time by the adaptive [`crate::par::Splitter`], which
 //!   consults the pool's idle-worker gauge. Historically `0` was
 //!   silently clamped to `1` — the worst possible grain, forking down
 //!   to single elements — so reusing the old footgun value as the
@@ -25,9 +25,10 @@
 //!   useful for reproducing fixed task-DAG shapes (the experiment
 //!   suites do) or when the workload is known to saturate the pool.
 
-use crate::join::join;
+use crate::par::iter::{
+    collect_spine, drive_fold, IndexedParIterator, ParIter, ParIterMut, ParIterator,
+};
 use crate::par::split::Splitter;
-use std::mem::MaybeUninit;
 
 /// The splitter implementing a helper's `grain` contract: `0` = adaptive
 /// (pool policy), `>= 1` = legacy eager grain.
@@ -45,22 +46,8 @@ where
     T: Send,
     F: Fn(&mut T) + Sync,
 {
-    fn rec<T, F>(v: &mut [T], mut sp: Splitter, f: &F)
-    where
-        T: Send,
-        F: Fn(&mut T) + Sync,
-    {
-        if !sp.should_split(v.len()) {
-            for x in v {
-                f(x);
-            }
-            return;
-        }
-        let mid = v.len() / 2;
-        let (lo, hi) = v.split_at_mut(mid);
-        join(|| rec(lo, sp, f), || rec(hi, sp, f));
-    }
-    rec(slice, splitter_for(grain), f);
+    let d = ParIterMut { slice }.driver();
+    drive_fold(d, splitter_for(grain), &|| (), &|(), x| f(x), &|(), ()| ());
 }
 
 /// Maps every element and folds the results with an associative
@@ -85,26 +72,25 @@ where
     M: Fn(&T) -> R + Sync,
     Rd: Fn(R, R) -> R + Sync,
 {
-    fn rec<T, R, M, Rd>(v: &[T], mut sp: Splitter, identity: R, map: &M, reduce: &Rd) -> R
-    where
-        T: Sync,
-        R: Send + Clone,
-        M: Fn(&T) -> R + Sync,
-        Rd: Fn(R, R) -> R + Sync,
-    {
-        if !sp.should_split(v.len()) {
-            return v.iter().map(map).fold(identity, reduce);
-        }
-        let mid = v.len() / 2;
-        let (lo, hi) = v.split_at(mid);
-        let id_hi = identity.clone();
-        let (a, b) = join(
-            || rec(lo, sp, identity, map, reduce),
-            || rec(hi, sp, id_hi, map, reduce),
-        );
-        reduce(a, b)
-    }
-    rec(slice, splitter_for(grain), identity, map, reduce)
+    // Leaves start empty rather than from a clone of `identity`, which
+    // need not be `Sync`; `identity` is two-sided, so the fold is the same.
+    let folded = drive_fold(
+        ParIter { slice }.driver(),
+        splitter_for(grain),
+        &|| None,
+        &|acc: Option<R>, x| {
+            Some(match acc {
+                Some(a) => reduce(a, map(x)),
+                None => map(x),
+            })
+        },
+        &|a, b| match (a, b) {
+            (Some(a), Some(b)) => Some(reduce(a, b)),
+            (a, None) => a,
+            (None, b) => b,
+        },
+    );
+    folded.unwrap_or(identity)
 }
 
 /// Parallel unstable sort: [`crate::par::par_sort_unstable`] under its
@@ -117,54 +103,19 @@ pub fn sort_unstable<T: Ord + Send>(slice: &mut [T]) {
 /// Parallel map into a fresh `Vec`, preserving element order.
 ///
 /// Results are written straight into one pre-sized spine — a single
-/// allocation, no `Default` pre-fill (the `R: Default + Clone` bounds of
-/// earlier versions are gone), no per-leaf buffers. If `map` panics the
-/// spine is abandoned with length zero: already-written elements leak
-/// rather than double-drop.
+/// allocation, no `Default` pre-fill, no per-leaf buffers. If `map`
+/// panics the spine is abandoned with length zero: already-written
+/// elements leak rather than double-drop.
 pub fn map_collect<T, R, M>(slice: &[T], grain: usize, map: &M) -> Vec<R>
 where
     T: Sync,
     R: Send,
     M: Fn(&T) -> R + Sync,
 {
-    let len = slice.len();
-    let mut out: Vec<R> = Vec::with_capacity(len);
-    let written = fill_map(
-        slice,
-        &mut out.spare_capacity_mut()[..len],
+    collect_spine(
+        ParIter { slice }.map(map).indexed_driver(),
         splitter_for(grain),
-        map,
-    );
-    assert_eq!(written, len, "fill_map under-filled its spine");
-    // SAFETY: exactly `len` slots were written (checked above), each
-    // exactly once (disjoint `split_at_mut` halves).
-    unsafe { out.set_len(len) };
-    out
-}
-
-/// Writes `map(input[i])` into `output[i]` for every `i`; returns the
-/// count written.
-fn fill_map<T, R, M>(input: &[T], output: &mut [MaybeUninit<R>], mut sp: Splitter, map: &M) -> usize
-where
-    T: Sync,
-    R: Send,
-    M: Fn(&T) -> R + Sync,
-{
-    debug_assert_eq!(input.len(), output.len());
-    if !sp.should_split(input.len()) {
-        for (o, i) in output.iter_mut().zip(input) {
-            *o = MaybeUninit::new(map(i));
-        }
-        return input.len();
-    }
-    let mid = input.len() / 2;
-    let (in_lo, in_hi) = input.split_at(mid);
-    let (out_lo, out_hi) = output.split_at_mut(mid);
-    let (a, b) = join(
-        || fill_map(in_lo, out_lo, sp, map),
-        || fill_map(in_hi, out_hi, sp, map),
-    );
-    a + b
+    )
 }
 
 #[cfg(test)]

@@ -28,15 +28,15 @@
 //! essential" claim, and it is selected *per pool* through the
 //! [`abp_deque::TaskDeque`] trait: [`ThreadPool::with_config`]
 //! dispatches once on [`PoolConfig::backend`] and spawns worker loops
-//! monomorphized over the chosen backend ([`Shared`]`<B>` /
+//! monomorphized over the chosen backend (`Shared<B>` /
 //! [`WorkerCtx`]`<B>` / `worker_main::<B>`), so the scheduling hot path
 //! compiles down to direct calls exactly as the old hand-rolled enum
 //! did. Everything backend-independent (injector, sleep subsystem,
 //! stats, telemetry registry, shutdown flag) lives in the non-generic
-//! [`SharedCore`], which is also what the non-generic [`ThreadPool`]
+//! `SharedCore`, which is also what the non-generic [`ThreadPool`]
 //! handle holds. Code that runs *on* a worker but cannot name the
 //! backend type (`join`, `scope`, the data-parallel layer) reaches the
-//! current worker through the object-safe [`AnyWorker`] facade in TLS —
+//! current worker through the object-safe `AnyWorker` facade in TLS —
 //! one virtual call per operation, off the deque's own fast path.
 //!
 //! Multiplicity-relaxed backends ([`abp_deque::FenceFreeBackend`])
@@ -53,7 +53,7 @@
 //! [`PoolConfig::pools`] partitions the `P` workers into `K` pools
 //! ("sockets"): contiguous index blocks, each with its **own** sharded
 //! injector, its own sleep subsystem, and a steal-back hint
-//! ([`PoolShard`]). Victim selection becomes hierarchical in the sense
+//! (`PoolShard`). Victim selection becomes hierarchical in the sense
 //! of localized work stealing (Suksompong/Leiserson/Schardl): a thief
 //! scans its pool-mates first (the policy engine runs in pool-local
 //! coordinates, so any [`abp_core::VictimKind`] composes), then — with
@@ -87,7 +87,7 @@ use crate::sleep::{Sleep, SleepKind, SleepOutcome, SleepStats};
 use crate::stats::{PoolStats, WorkerStats};
 use abp_core::{
     BackoffAction, BatchKind, IdleAction, IdleKind, PolicyEngine, PolicyRng, PolicySet, SplitKind,
-    StealResult,
+    StealResult, Structure,
 };
 use abp_dag::DetRng;
 use abp_deque::{
@@ -612,7 +612,7 @@ impl SharedCore {
     /// exporters byte-identical.
     #[cfg(feature = "telemetry")]
     fn stamp_batch(&self, snap: &mut TelemetrySnapshot) {
-        let s = PoolStats::aggregate(&self.stats);
+        let s: PoolStats = self.stats.iter().map(WorkerStats::snapshot).sum();
         if s.batch_steals == 0 {
             return;
         }
@@ -631,7 +631,7 @@ impl SharedCore {
         if self.shards.len() == 1 {
             return;
         }
-        let s = PoolStats::aggregate(&self.stats);
+        let s: PoolStats = self.stats.iter().map(WorkerStats::snapshot).sum();
         snap.counters
             .push(("pools".to_string(), self.shards.len() as u64));
         snap.counters
@@ -647,7 +647,7 @@ impl SharedCore {
     /// dump and the Chrome trace) carry them.
     #[cfg(feature = "telemetry")]
     fn stamp_par(&self, snap: &mut TelemetrySnapshot) {
-        let s = PoolStats::aggregate(&self.stats);
+        let s: PoolStats = self.stats.iter().map(WorkerStats::snapshot).sum();
         snap.counters.push(("par_splits".to_string(), s.par_splits));
         snap.counters
             .push(("par_seq_fallbacks".to_string(), s.par_seq));
@@ -700,7 +700,7 @@ impl dyn AnyWorker + '_ {
 
 /// Worker-thread-local context, monomorphized over the pool's deque
 /// backend. A type-erased pointer to it lives in TLS (as an
-/// [`AnyWorker`] trait object) while the worker runs.
+/// `AnyWorker` trait object) while the worker runs.
 pub struct WorkerCtx<B: TaskDeque<usize> = AbpBackend> {
     index: usize,
     /// This worker's pool and its global index range, cached off
@@ -718,6 +718,7 @@ pub struct WorkerCtx<B: TaskDeque<usize> = AbpBackend> {
     woken_pending: Cell<bool>,
     /// Timestamp of the wake-caused unpark (0 when tracing is off),
     /// for the unpark-to-work latency histogram.
+    #[cfg(feature = "telemetry")]
     woken_at: Cell<u64>,
     /// Reused scratch for batched cross-pool robs: after the first few
     /// trips the capacity sticks at the batch cap and the steady state
@@ -911,18 +912,11 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
         scan_start_ns: Option<u64>,
         observe_as: Option<usize>,
     ) {
-        let stats = self.stats();
-        match result {
-            StealResult::Hit => stats.steals.fetch_add(1, Ordering::Relaxed),
-            StealResult::Abort => stats.aborts.fetch_add(1, Ordering::Relaxed),
-            StealResult::Empty => stats.empties.fetch_add(1, Ordering::Relaxed),
-            StealResult::Duplicate => stats.duplicates.fetch_add(1, Ordering::Relaxed),
-        };
         let core = self.core();
-        if core.pool_of[victim] as usize != self.pool {
-            stats.remote_attempts.fetch_add(1, Ordering::Relaxed);
+        let remote = core.pool_of[victim] as usize != self.pool;
+        self.stats().tally(|c| c.record(result, remote));
+        if remote {
             if result == StealResult::Hit {
-                stats.remote_steals.fetch_add(1, Ordering::Relaxed);
                 // We took the victim's pool's work: leave our card so
                 // its members can steal it back.
                 core.shards[core.pool_of[victim] as usize]
@@ -973,11 +967,9 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
         if cap > 1 {
             return self.poll_injector_batch(cap);
         }
-        let stats = self.stats();
-        stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
         match self.shard().injector.poll(self.local_index()) {
             Some((word, submit_ns)) => {
-                stats.injects.fetch_add(1, Ordering::Relaxed);
+                self.stats().tally(|c| c.record_inject(1));
                 #[cfg(feature = "telemetry")]
                 if let Some(t) = &self.tele {
                     let now = t.now_ns();
@@ -991,7 +983,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
                 Some(JobRef::from_word(word))
             }
             None => {
-                stats.empties.fetch_add(1, Ordering::Relaxed);
+                self.stats().tally(|c| c.record(StealResult::Empty, false));
                 #[cfg(feature = "telemetry")]
                 self.tele_record(EventKind::InjectorPoll { hit: false });
                 None
@@ -1012,18 +1004,14 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
     /// those measure steal round trips, and `batch_consistent()` bounds
     /// them by `steals`.
     fn poll_injector_batch(&self, cap: usize) -> Option<JobRef> {
-        let stats = self.stats();
         let got = self.shard().injector.poll_batch(self.local_index(), cap);
         if got.is_empty() {
-            stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
-            stats.empties.fetch_add(1, Ordering::Relaxed);
+            self.stats().tally(|c| c.record(StealResult::Empty, false));
             #[cfg(feature = "telemetry")]
             self.tele_record(EventKind::InjectorPoll { hit: false });
             return None;
         }
-        let n = got.len();
-        stats.steal_attempts.fetch_add(n as u64, Ordering::Relaxed);
-        stats.injects.fetch_add(n as u64, Ordering::Relaxed);
+        self.stats().tally(|c| c.record_inject(got.len() as u64));
         #[cfg(feature = "telemetry")]
         if let Some(t) = &self.tele {
             let now = t.now_ns();
@@ -1066,7 +1054,6 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
         scan_start: Option<u64>,
         observe_as: Option<usize>,
     ) -> Option<JobRef> {
-        self.stats().steal_attempts.fetch_add(1, Ordering::Relaxed);
         let result = match self.shared.stealers[v].steal() {
             Steal::Taken(w) => {
                 self.note_steal(v, StealResult::Hit, scan_start, observe_as);
@@ -1097,14 +1084,12 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
     /// `batch_steals`/`batched_tasks` record it, outside the identity,
     /// whenever a trip moved `n ≥ 2` tasks.
     fn try_rob_batch(&self, v: usize, scan_start: Option<u64>, cap: usize) -> Option<JobRef> {
-        let stats = self.stats();
         let mut batch = self.batch_buf.borrow_mut();
         self.shared.stealers[v].steal_batch_into(cap, &mut batch);
         // Lost once-guard races inside the scanned range (multiplicity
         // backends only): counted misses, one attempt each, exactly as
         // single steals count a `Steal::Duplicate`.
         for _ in 0..batch.duplicates {
-            stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
             self.note_steal(v, StealResult::Duplicate, scan_start, None);
         }
         if batch.tasks.is_empty() {
@@ -1112,7 +1097,6 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
             // duplicates those misses above were the outcome; otherwise
             // the trip is one counted Abort or Empty, as for `try_rob`.
             if batch.duplicates == 0 {
-                stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
                 let result = if batch.aborted {
                     StealResult::Abort
                 } else {
@@ -1123,13 +1107,11 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
             return None;
         }
         let n = batch.tasks.len();
-        stats.steal_attempts.fetch_add(n as u64, Ordering::Relaxed);
         for _ in 0..n {
             self.note_steal(v, StealResult::Hit, scan_start, None);
         }
         if n >= 2 {
-            stats.batch_steals.fetch_add(1, Ordering::Relaxed);
-            stats.batched_tasks.fetch_add(n as u64, Ordering::Relaxed);
+            self.stats().tally(|c| c.record_batch(n as u64));
         }
         let mut tasks = batch.tasks.drain(..);
         let first = tasks.next().expect("non-empty batch");
@@ -1435,7 +1417,7 @@ fn worker_main<B: TaskDeque<usize>>(ctx: WorkerCtx<B>) {
                     // workers all exited already is drained by
                     // `ThreadPool::shutdown` itself.)
                     if let Some((word, _)) = ctx.shard().injector.pop_blocking(ctx.local_index()) {
-                        ctx.stats().record_drained_inject();
+                        ctx.stats().tally(|c| c.record_inject(1));
                         ctx.note_found_work();
                         ctx.execute_job(JobRef::from_word(word));
                         continue;
@@ -1511,6 +1493,7 @@ fn spawn_workers<B: TaskDeque<usize>>(
                     PolicyRng::from_det(seed_rng.fork(index as u64)),
                 )),
                 woken_pending: Cell::new(false),
+                #[cfg(feature = "telemetry")]
                 woken_at: Cell::new(0),
                 batch_buf: RefCell::new(StolenBatch::empty()),
                 #[cfg(feature = "telemetry")]
@@ -1763,13 +1746,18 @@ impl ThreadPool {
         self.core
             .shards
             .iter()
-            .map(|s| PoolStats::aggregate(&self.core.stats[s.start..s.end]))
+            .map(|s| {
+                self.core.stats[s.start..s.end]
+                    .iter()
+                    .map(WorkerStats::snapshot)
+                    .sum()
+            })
             .collect()
     }
 
     /// Aggregate scheduler statistics since pool creation.
     pub fn stats(&self) -> PoolStats {
-        PoolStats::aggregate(&self.core.stats)
+        self.core.stats.iter().map(WorkerStats::snapshot).sum()
     }
 
     /// Per-worker scheduler statistics since pool creation.
@@ -1849,7 +1837,7 @@ impl ThreadPool {
         for shard in &self.core.shards {
             let stats = &self.core.stats[shard.start];
             while let Some((word, _)) = shard.injector.pop_blocking(0) {
-                stats.record_drained_inject();
+                stats.tally(|c| c.record_inject(1));
                 // SAFETY: the word came out of the injector exactly once,
                 // so this is the job's single execution. Injected jobs
                 // contain their own panics (`install`, `detached_job`).
@@ -1857,63 +1845,16 @@ impl ThreadPool {
                 stats.jobs.fetch_add(1, Ordering::Relaxed);
             }
         }
+        // The identities and the structural zeros this configuration
+        // implies, checked in release builds too (once, at shutdown).
         let stats = self.stats();
-        debug_assert!(
-            stats.attempts_balance(),
-            "steal accounting identity violated: {stats:?}"
-        );
-        // Per-backend structural zeros (checked in release builds too —
-        // one comparison each, once, at shutdown): a backend that cannot
-        // abort must show no aborts, and an exactly-once backend must
-        // show no duplicates. Together with `attempts_balance` these pin
-        // the five-way identity down to the four-way form each backend
-        // actually promises.
         let backend = self.core.backend;
-        assert!(
-            backend.can_abort() || stats.aborts == 0,
-            "backend {} cannot abort, yet aborts = {}",
-            backend.name(),
-            stats.aborts
-        );
-        assert!(
-            !backend.exact() || stats.duplicates == 0,
-            "backend {} is exact, yet duplicates = {}",
-            backend.name(),
-            stats.duplicates
-        );
-        debug_assert!(
-            stats.parks_balance(),
-            "park accounting identity violated: parks {} != unparks {}",
-            stats.parks,
-            stats.unparks
-        );
-        // The locality split rides outside the identity but must stay a
-        // sub-count of hits, and a flat topology must show the
-        // structural zero (both checked in release builds too — they
-        // pin the `steals = local + remote` decomposition).
-        assert!(
-            stats.locality_consistent(),
-            "remote steals exceed steals: {stats:?}"
-        );
-        assert!(
-            self.core.shards.len() > 1 || stats.remote_attempts == 0,
-            "flat pool recorded remote attempts: {}",
-            stats.remote_attempts
-        );
-        // Batching rides outside the identity the same way the locality
-        // split does: every batched task is already a counted steal, a
-        // batch moves at least two of them, and under the single-steal
-        // default no batch can form at all (structural zeros).
-        assert!(
-            stats.batch_consistent(),
-            "batch accounting inconsistent: {stats:?}"
-        );
-        assert!(
-            self.core.batch.is_batched() || (stats.batch_steals == 0 && stats.batched_tasks == 0),
-            "single-steal pool recorded steal batches: batch_steals = {}, batched_tasks = {}",
-            stats.batch_steals,
-            stats.batched_tasks
-        );
+        stats.assert_checked(Structure {
+            can_abort: backend.can_abort(),
+            exact: backend.exact(),
+            pools: self.core.shards.len(),
+            batched: self.core.batch.is_batched(),
+        });
         let sleep = self.core.sleep_stats();
         // Every hit-after-unpark is credited to exactly one delivered
         // wake (the condvar fallback's herd makes the correspondence

@@ -57,7 +57,7 @@
 //! announce/commit (store-buffering), but an owner always drains its
 //! own deque before idling, so the job still runs — the miss costs
 //! parallelism for one scan, never liveness. External submissions have
-//! no such owner, so [`Sleep::notify_jobs`] bumps unconditionally.
+//! no such owner, so `Sleep::notify_jobs` bumps unconditionally.
 //!
 //! # Fallback
 //!

@@ -21,6 +21,7 @@
 
 use crate::locked_deque::{LockKind, LockOp, LockStepOutcome, LockedSimDeque};
 use crate::metrics::RunReport;
+use abp_core::Counters;
 use abp_dag::{Dag, DetRng, EnablingTree, NodeId};
 use abp_kernel::{Kernel, KernelView};
 
@@ -206,17 +207,12 @@ pub fn run_central(
         critical_path: dag.critical_path(),
         procs: p,
         executed: executed_count,
-        steal_attempts: 0,
-        successful_steals: 0,
-        steal_aborts: 0,
-        steal_empties: 0,
         pools: 1,
-        remote_steals: 0,
-        remote_attempts: 0,
-        batch_steals: 0,
-        batched_tasks: 0,
+        counters: Counters {
+            jobs: executed_count,
+            ..Counters::default()
+        },
         throws: 0,
-        yields: 0,
         policy: "central-queue".to_string(),
         completed: done,
         structural_violations: 0,

@@ -1,6 +1,8 @@
 //! Measurements collected from a simulated execution.
 
+use abp_core::Counters;
 use std::fmt;
+use std::ops::Deref;
 
 /// Everything measured over one run of the simulated work stealer.
 #[derive(Debug, Clone)]
@@ -23,41 +25,18 @@ pub struct RunReport {
     pub critical_path: u64,
     /// The process count `P`.
     pub procs: usize,
-    /// Nodes executed (equals `work` on a completed run).
+    /// Nodes executed (equals `work` on a completed run): `counters.jobs`,
+    /// kept as its own field for readers of the flat report.
     pub executed: u64,
-    /// `popTop` invocations completed.
-    pub steal_attempts: u64,
-    /// Steal attempts that returned a node.
-    pub successful_steals: u64,
-    /// Steal attempts that lost a `cas` race (§3.2's ABORT).
-    pub steal_aborts: u64,
-    /// Steal attempts that found the victim's deque empty.
-    pub steal_empties: u64,
     /// Pool count `K` of the topology the run used (1 = flat).
     pub pools: usize,
-    /// Successful steals whose victim lived in a different pool than the
-    /// thief. A sub-count of `successful_steals`, *outside* the
-    /// accounting identity (`steals = local + remote`); structurally
-    /// zero on a flat (`pools == 1`) run.
-    pub remote_steals: u64,
-    /// Completed steal attempts (hit or miss) whose victim lived in a
-    /// different pool — the scan-policy property itself, independent of
-    /// where the workload happens to put the work. Sub-count of
-    /// `steal_attempts`; structurally zero on a flat run.
-    pub remote_attempts: u64,
-    /// Multi-task steal episodes: cross-pool round trips that claimed
-    /// ≥ 2 tasks at once. Outside the accounting identity (each claimed
-    /// task is still its own attempt and hit); structurally zero under
-    /// the single-steal default batch policy.
-    pub batch_steals: u64,
-    /// Tasks moved by those episodes, the first kept task included.
-    /// Outside the identity; structurally zero under single-steal.
-    pub batched_tasks: u64,
+    /// Every steal, yield and job counter of the run, summed over the
+    /// pools. `RunReport` dereferences to it, so `r.steal_attempts`,
+    /// `r.steals` and `r.attempts_balance()` read straight through.
+    pub counters: Counters,
     /// Steal attempts that were *throws*: completed at their process's
     /// second milestone in a round (§4.1).
     pub throws: u64,
-    /// yield calls performed.
-    pub yields: u64,
     /// Identity of the scheduling-policy configuration that produced this
     /// run, `"victim+backoff+idle/yield-policy"` (e.g. the paper default
     /// is `"uniform+yield+spin/to-all"`).
@@ -103,84 +82,13 @@ impl RunReport {
     pub fn utilization(&self) -> f64 {
         self.work as f64 / (self.pa.max(f64::MIN_POSITIVE) * self.rounds as f64)
     }
+}
 
-    /// Fraction of completed steal attempts that succeeded.
-    pub fn steal_success_rate(&self) -> f64 {
-        if self.steal_attempts == 0 {
-            return 0.0;
-        }
-        self.successful_steals as f64 / self.steal_attempts as f64
-    }
+impl Deref for RunReport {
+    type Target = Counters;
 
-    /// The shared accounting identity:
-    /// `attempts == steals + aborts + empties`.
-    pub fn steal_accounting_balanced(&self) -> bool {
-        self.steal_attempts == self.successful_steals + self.steal_aborts + self.steal_empties
-    }
-
-    /// Fraction of successful steals that crossed a pool boundary
-    /// (0.0 when no steals landed — and structurally on a flat run).
-    pub fn remote_steal_fraction(&self) -> f64 {
-        if self.successful_steals == 0 {
-            return 0.0;
-        }
-        self.remote_steals as f64 / self.successful_steals as f64
-    }
-
-    /// Fraction of completed attempts that targeted another pool.
-    pub fn remote_attempt_fraction(&self) -> f64 {
-        if self.steal_attempts == 0 {
-            return 0.0;
-        }
-        self.remote_attempts as f64 / self.steal_attempts as f64
-    }
-
-    /// The locality split invariant: remote counters are sub-counts of
-    /// their totals (and of each other — a remote hit is a remote
-    /// attempt), and a flat run records none at all.
-    pub fn locality_consistent(&self) -> bool {
-        self.remote_steals <= self.remote_attempts
-            && self.remote_attempts <= self.steal_attempts
-            && (self.pools > 1 || self.remote_attempts == 0)
-    }
-
-    /// The batch split invariant: every batched task is a counted
-    /// successful steal, and every batch moved at least two tasks.
-    pub fn batch_consistent(&self) -> bool {
-        self.batched_tasks <= self.successful_steals && self.batched_tasks >= 2 * self.batch_steals
-    }
-
-    /// Remote attempts per migrated (remote-stolen) task. Every batched
-    /// extra counts as its own attempt *and* hit (the identity is
-    /// per-task), so this ratio understates the amortization — see
-    /// [`remote_trips_per_migrated_task`](RunReport::remote_trips_per_migrated_task)
-    /// for the round-trip view. `f64::INFINITY` when attempts were made
-    /// but nothing migrated; 0.0 when no remote attempts happened.
-    pub fn remote_attempts_per_migrated_task(&self) -> f64 {
-        if self.remote_attempts == 0 {
-            return 0.0;
-        }
-        self.remote_attempts as f64 / self.remote_steals as f64
-    }
-
-    /// Cross-pool synchronization round trips per migrated task — the
-    /// overhead batching amortizes, and the SB1 gate metric. A batched
-    /// grab is **one** trip no matter how many tasks it moves, so the
-    /// free riders (`batched_tasks - batch_steals`, the tasks beyond
-    /// each batch's first) are subtracted from the per-task attempt
-    /// count to recover the trip count. `f64::INFINITY` when trips were
-    /// paid but nothing migrated; 0.0 when no remote attempts happened.
-    pub fn remote_trips_per_migrated_task(&self) -> f64 {
-        if self.remote_attempts == 0 {
-            return 0.0;
-        }
-        let trips = self
-            .remote_attempts
-            .saturating_sub(self.batched_tasks - self.batch_steals);
-        if self.remote_steals == 0 {
-            return f64::INFINITY;
-        }
-        trips as f64 / self.remote_steals as f64
+    fn deref(&self) -> &Counters {
+        &self.counters
     }
 }
 
@@ -195,7 +103,7 @@ impl fmt::Display for RunReport {
             self.work,
             self.critical_path,
             self.throws,
-            self.successful_steals,
+            self.steals,
             self.steal_attempts,
             self.bound_ratio(),
             if self.completed { "" } else { " [INCOMPLETE]" }
@@ -238,17 +146,17 @@ mod tests {
             critical_path: 50,
             procs: 8,
             executed: 1_000,
-            steal_attempts: 60,
-            successful_steals: 30,
-            steal_aborts: 10,
-            steal_empties: 20,
             pools: 1,
-            remote_steals: 0,
-            remote_attempts: 0,
-            batch_steals: 0,
-            batched_tasks: 0,
+            counters: Counters {
+                jobs: 1_000,
+                steal_attempts: 60,
+                steals: 30,
+                aborts: 10,
+                empties: 20,
+                yields: 60,
+                ..Counters::default()
+            },
             throws: 55,
-            yields: 60,
             policy: "uniform+yield+spin/to-all".to_string(),
             completed: true,
             structural_violations: 0,
@@ -267,7 +175,6 @@ mod tests {
         assert!((r.bound_denominator() - 350.0).abs() < 1e-9);
         assert!((r.bound_ratio() - 100.0 / 350.0).abs() < 1e-9);
         assert!((r.utilization() - 1000.0 / 400.0).abs() < 1e-9);
-        assert!((r.steal_success_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -281,104 +188,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_steals_rate() {
-        let mut r = dummy();
-        r.steal_attempts = 0;
-        assert_eq!(r.steal_success_rate(), 0.0);
-    }
-
-    #[test]
-    fn steal_accounting_identity() {
-        let mut r = dummy();
+    fn reads_through_to_its_counters() {
+        let r = dummy();
         assert!(r.steal_accounting_balanced());
-        r.steal_aborts += 1;
-        assert!(!r.steal_accounting_balanced());
-    }
-
-    #[test]
-    fn locality_split_rides_outside_the_identity() {
-        let mut r = dummy();
-        assert!(r.locality_consistent());
-        assert_eq!(r.remote_steal_fraction(), 0.0);
-        // A flat run may not record remote steals at all.
-        r.remote_steals = 1;
-        assert!(!r.locality_consistent());
-        // On a topology, remote is a sub-count of successful steals —
-        // splitting it off leaves the identity untouched.
-        r.pools = 4;
-        r.remote_steals = 6;
-        r.remote_attempts = 12;
-        assert!(r.locality_consistent());
-        assert!(
-            r.steal_accounting_balanced(),
-            "split leaves identity untouched"
-        );
-        assert!((r.remote_steal_fraction() - 0.2).abs() < 1e-9);
-        assert!((r.remote_attempt_fraction() - 0.2).abs() < 1e-9);
-        r.remote_steals = r.remote_attempts + 1;
-        assert!(!r.locality_consistent(), "a remote hit is a remote attempt");
-    }
-
-    #[test]
-    fn batch_split_rides_outside_the_identity() {
-        let mut r = dummy();
-        assert!(r.batch_consistent(), "zeros are consistent");
-        // A 3-task and a 2-task episode: 5 batched tasks over 2 batches,
-        // all sub-counts of the 30 successful steals — the identity
-        // never learns about them.
-        r.pools = 4;
-        r.batch_steals = 2;
-        r.batched_tasks = 5;
-        assert!(r.batch_consistent());
-        assert!(r.steal_accounting_balanced());
-        // A "batch" of one task is not a batch.
-        r.batched_tasks = 3;
-        assert!(!r.batch_consistent());
-        // More batched tasks than successful steals is inconsistent.
-        r.batch_steals = 2;
-        r.batched_tasks = r.successful_steals + 1;
-        assert!(!r.batch_consistent());
-    }
-
-    #[test]
-    fn remote_attempts_per_migrated_task_edges() {
-        let mut r = dummy();
-        assert_eq!(r.remote_attempts_per_migrated_task(), 0.0);
-        r.pools = 2;
-        r.remote_attempts = 12;
-        r.remote_steals = 4;
-        assert!((r.remote_attempts_per_migrated_task() - 3.0).abs() < 1e-9);
-        r.remote_steals = 0;
-        assert!(r.remote_attempts_per_migrated_task().is_infinite());
-    }
-
-    #[test]
-    fn remote_trips_per_migrated_task_subtracts_free_riders() {
-        let mut r = dummy();
-        assert_eq!(r.remote_trips_per_migrated_task(), 0.0);
-        r.pools = 2;
-        // 12 attempts landed 6 migrated tasks, but 2 batches carried
-        // 5 of them: the 3 extras rode already-paid trips, so only
-        // 12 - 3 = 9 round trips were actually made for 6 tasks.
-        r.remote_attempts = 12;
-        r.remote_steals = 6;
-        r.batch_steals = 2;
-        r.batched_tasks = 5;
-        assert!((r.remote_trips_per_migrated_task() - 1.5).abs() < 1e-9);
-        // With no batching the two metrics agree.
-        r.batch_steals = 0;
-        r.batched_tasks = 0;
-        assert!(
-            (r.remote_trips_per_migrated_task() - r.remote_attempts_per_migrated_task()).abs()
-                < 1e-9
-        );
-        // Free riders can at most cancel the attempt count, never
-        // drive it negative.
-        r.batch_steals = 2;
-        r.batched_tasks = 20;
-        assert_eq!(r.remote_trips_per_migrated_task(), 0.0);
-        r.remote_steals = 0;
-        r.batched_tasks = 5;
-        assert!(r.remote_trips_per_migrated_task().is_infinite());
+        assert!((r.steal_success_rate() - 0.5).abs() < 1e-9);
+        assert_eq!(r.steal_attempts, r.counters.steal_attempts);
     }
 }

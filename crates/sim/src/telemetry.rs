@@ -172,7 +172,7 @@ pub fn telemetry_from_run(report: &crate::metrics::RunReport) -> Option<Telemetr
     snap.policy = report.policy.clone();
     snap.counters.push(("throws".to_string(), report.throws));
     snap.counters
-        .push(("successful_steals".to_string(), report.successful_steals));
+        .push(("successful_steals".to_string(), report.steals));
     Some(snap)
 }
 

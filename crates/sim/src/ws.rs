@@ -24,7 +24,7 @@ use crate::locked_deque::{LockKind, LockOp, LockStepOutcome, LockedSimDeque, Loc
 use crate::metrics::{PhaseStats, RunReport};
 use crate::trace::{RoundActivity, StealRecord, Trace};
 use abp_core::{
-    BackoffAction, IdleAction, PolicyEngine, PolicyRng, PolicySet, StealResult, StealTally,
+    BackoffAction, Counters, IdleAction, PolicyEngine, PolicyRng, PolicySet, StealResult, Structure,
 };
 use abp_dag::{Dag, DetRng, EnablingTree, NodeId, ProcId};
 use abp_deque::{DequeOp, SimDeque, SimSteal, StepOutcome};
@@ -324,14 +324,8 @@ pub struct WorkStealer<'a> {
     /// batch axis (`1` = the single-steal default, no batching anywhere).
     batch_cap: usize,
     // measurement
-    executed_count: u64,
-    tally: StealTally,
-    remote_attempts: u64,
-    /// Per-pool attempt accounting (thief's pool) — each must balance
-    /// on its own, and they sum to `tally`.
-    pool_tallies: Vec<StealTally>,
+    tally: Counters,
     throws: u64,
-    yields: u64,
     structural_violations: u64,
     potential_violations: u64,
     milestone_violations: u64,
@@ -420,12 +414,8 @@ impl<'a> WorkStealer<'a> {
             cross_coin: abp_core::coin_threshold(config.cross_steal),
             last_thief: vec![usize::MAX; k],
             batch_cap: config.policies.batch.cap(),
-            executed_count: 0,
-            tally: StealTally::default(),
-            remote_attempts: 0,
-            pool_tallies: vec![StealTally::default(); k],
+            tally: Counters::default(),
             throws: 0,
-            yields: 0,
             structural_violations: 0,
             potential_violations: 0,
             milestone_violations: 0,
@@ -603,80 +593,14 @@ impl<'a> WorkStealer<'a> {
         } else {
             proc_rounds as f64 / rounds as f64
         };
-        debug_assert!(
-            self.tally.balanced(),
-            "steal accounting identity violated: {:?}",
-            self.tally
-        );
-        // Per-backend structural zeros in the five-way identity: every
-        // simulated backend extracts exactly-once, and the blocking deque
-        // waits out contention rather than aborting, so those terms must
-        // be *exactly* zero — not merely balanced.
-        assert_eq!(
-            self.tally.duplicates, 0,
-            "sim backend {:?} is exact, yet duplicates = {}",
-            self.config.backend, self.tally.duplicates
-        );
-        if self.config.backend == DequeBackend::Locking {
-            assert_eq!(
-                self.tally.aborts, 0,
-                "blocking popTop spins out contention, yet aborts = {}",
-                self.tally.aborts
-            );
-        }
-        // Topology accounting: the locality split is a sub-count of hits
-        // (outside the identity), flat runs carry its structural zero,
-        // each pool's tally balances on its own, and the pools sum to
-        // the global tally.
-        assert!(
-            self.tally.locality_consistent(),
-            "remote hits exceed hits: {:?}",
-            self.tally
-        );
-        assert!(
-            self.pool_bounds.len() > 1 || self.tally.remote_hits == 0,
-            "flat run recorded remote steals: {}",
-            self.tally.remote_hits
-        );
-        // The batch split is a second outside-the-identity axis: bounded
-        // by hits, at least two tasks per batch, and *exactly* zero
-        // under the single-steal default.
-        assert!(
-            self.tally.batch_consistent(),
-            "batch accounting inconsistent: {:?}",
-            self.tally
-        );
-        assert!(
-            self.batch_cap > 1 || (self.tally.batch_steals == 0 && self.tally.batched_tasks == 0),
-            "single-steal run recorded batches: {:?}",
-            self.tally
-        );
-        let mut sum = StealTally::default();
-        for (j, t) in self.pool_tallies.iter().enumerate() {
-            assert!(t.balanced(), "pool {j} tally unbalanced: {t:?}");
-            sum.merge(t);
-        }
-        assert_eq!(
-            (
-                sum.attempts,
-                sum.hits,
-                sum.aborts,
-                sum.empties,
-                sum.remote_hits,
-                sum.batch_steals,
-                sum.batched_tasks
-            ),
-            (
-                self.tally.attempts,
-                self.tally.hits,
-                self.tally.aborts,
-                self.tally.empties,
-                self.tally.remote_hits,
-                self.tally.batch_steals,
-                self.tally.batched_tasks
-            ),
-            "per-pool tallies do not sum to the global tally"
-        );
+        // Every simulated backend extracts exactly once, and the blocking
+        // deque waits out contention rather than aborting.
+        self.tally.assert_checked(Structure {
+            can_abort: self.config.backend != DequeBackend::Locking,
+            exact: true,
+            pools: self.pool_bounds.len(),
+            batched: self.batch_cap > 1,
+        });
         // Structural zero: with the cache model disabled, no code path
         // may touch the cache counters — telemetry goldens rely on it.
         if self.config.cache.is_none() {
@@ -702,18 +626,10 @@ impl<'a> WorkStealer<'a> {
             work: self.dag.work(),
             critical_path: self.dag.critical_path(),
             procs: p,
-            executed: self.executed_count,
-            steal_attempts: self.tally.attempts,
-            successful_steals: self.tally.hits,
-            steal_aborts: self.tally.aborts,
-            steal_empties: self.tally.empties,
+            executed: self.tally.jobs,
             pools: self.pool_bounds.len(),
-            remote_steals: self.tally.remote_hits,
-            remote_attempts: self.remote_attempts,
-            batch_steals: self.tally.batch_steals,
-            batched_tasks: self.tally.batched_tasks,
+            counters: self.tally,
             throws: self.throws,
-            yields: self.yields,
             policy: self.config.policy_label(),
             completed: self.done,
             structural_violations: self.structural_violations,
@@ -746,7 +662,7 @@ impl<'a> WorkStealer<'a> {
             Phase::PoppingBottom(op) => self.step_pop_bottom(i, op),
             Phase::Pushing(op) => self.step_push(i, op),
             Phase::Yielding => {
-                self.yields += 1;
+                self.tally.yields += 1;
                 let p = self.procs.len();
                 match self.config.yield_policy {
                     YieldPolicy::None => unreachable!("Yielding phase with no yield policy"),
@@ -896,7 +812,7 @@ impl<'a> WorkStealer<'a> {
             "{u} executed while not ready"
         );
         self.executed[u.index()] = true;
-        self.executed_count += 1;
+        self.tally.jobs += 1;
         if let Some(cache_cfg) = self.config.cache {
             // A node run on a different process than its designated
             // parent is a deviation — the migration count of the
@@ -1091,10 +1007,8 @@ impl<'a> WorkStealer<'a> {
                 let my_pool = self.pool_of[i] as usize;
                 let victim_pool = self.pool_of[victim] as usize;
                 let remote = victim_pool != my_pool;
-                self.tally.record_located(res, remote);
-                self.pool_tallies[my_pool].record_located(res, remote);
+                self.tally.record(res, remote);
                 if remote {
-                    self.remote_attempts += 1;
                     if result.is_some() {
                         // The victim's pool remembers its robber, so its
                         // members can steal their work back.
@@ -1169,7 +1083,6 @@ impl<'a> WorkStealer<'a> {
         if !matches!(self.deques, Deques::Sim(_)) {
             return;
         }
-        let my_pool = self.pool_of[i] as usize;
         // The backlog the runtime's `batch_want` sees includes the task
         // the just-completed popTop took.
         let avail = self.deques.len_of(victim) + 1;
@@ -1189,9 +1102,7 @@ impl<'a> WorkStealer<'a> {
             // the chain simply stops, recording no extra outcome — the
             // runtime's per-slot CAS chain stops the same way.
             let Some(v) = got else { break };
-            self.tally.record_located(StealResult::Hit, true);
-            self.pool_tallies[my_pool].record_located(StealResult::Hit, true);
-            self.remote_attempts += 1;
+            self.tally.record(StealResult::Hit, true);
             if self.config.trace {
                 self.trace.steals.push(StealRecord {
                     round: self.trace.rounds.len() as u64,
@@ -1214,7 +1125,6 @@ impl<'a> WorkStealer<'a> {
         }
         if claimed >= 2 {
             self.tally.record_batch(claimed);
-            self.pool_tallies[my_pool].record_batch(claimed);
         }
     }
 
@@ -1466,12 +1376,12 @@ mod tests {
         };
         let r = run_ws(&d, p, &mut k, cfg);
         assert!(r.completed);
-        let tr = r.trace.expect("trace requested");
+        let tr = r.trace.as_ref().expect("trace requested");
         assert_eq!(tr.len() as u64, r.rounds);
         assert_eq!(tr.steals.len() as u64, r.steal_attempts);
         assert_eq!(
             tr.steals.iter().filter(|s| s.hit()).count() as u64,
-            r.successful_steals
+            r.steals
         );
         // Nobody targets themselves.
         assert!(tr.steals.iter().all(|s| s.thief != s.victim));
@@ -1583,7 +1493,7 @@ mod tests {
                 let r = run_ws(&d, p, &mut k, cfg);
                 assert!(r.completed);
                 let check = abp_core::StealBoundCheck::rooted_tree(
-                    r.successful_steals,
+                    r.steals,
                     2,
                     tree.spawn_height(),
                     tree.num_edges() as u64,
@@ -1614,7 +1524,7 @@ mod tests {
         assert_eq!(a.instructions, b.instructions);
         assert_eq!(a.throws, b.throws);
         assert_eq!(a.steal_attempts, b.steal_attempts);
-        assert_eq!(a.successful_steals, b.successful_steals);
+        assert_eq!(a.steals, b.steals);
         assert_eq!((a.pools, a.remote_steals), (1, 0));
         // The flat-scan control arm with pool labels also replays the
         // flat stream — only the accounting axis moves.
@@ -1689,9 +1599,9 @@ mod tests {
         let cfg = WsConfig::default().with_pools(4);
         let r = run_ws(&d, 4, &mut k, cfg);
         assert!(r.completed);
-        assert_eq!(r.remote_steals, r.successful_steals);
+        assert_eq!(r.remote_steals, r.steals);
         assert_eq!(r.remote_attempts, r.steal_attempts);
-        assert!(r.successful_steals > 0);
+        assert!(r.steals > 0);
     }
 
     #[test]
@@ -1747,11 +1657,11 @@ mod tests {
             .with_policies(PolicySet::paper().with_batch(BatchKind::Half { cap: 8 }));
         let r = run_ws(&d, 8, &mut k, cfg);
         assert!(r.completed);
-        let tr = r.trace.expect("trace requested");
+        let tr = r.trace.as_ref().expect("trace requested");
         assert_eq!(tr.steals.len() as u64, r.steal_attempts);
         assert_eq!(
             tr.steals.iter().filter(|s| s.hit()).count() as u64,
-            r.successful_steals
+            r.steals
         );
     }
 

@@ -104,7 +104,7 @@ fn fingerprint(r: &RunReport) -> Fingerprint {
             r.instructions,
             r.wall_steps,
             r.steal_attempts,
-            r.successful_steals,
+            r.steals,
             r.throws,
             r.yields,
             r.remote_steals,

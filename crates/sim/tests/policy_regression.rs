@@ -120,9 +120,9 @@ fn check_identity(r: &RunReport, name: &str) {
         r.steal_accounting_balanced(),
         "{name}: attempts {} != steals {} + aborts {} + empties {}",
         r.steal_attempts,
-        r.successful_steals,
-        r.steal_aborts,
-        r.steal_empties
+        r.steals,
+        r.aborts,
+        r.empties
     );
 }
 
@@ -139,11 +139,7 @@ fn paper_default_matches_pre_refactor_goldens() {
         assert_eq!(r.wall_steps, g.wall_steps, "{}: wall_steps", g.name);
         assert_eq!(r.executed, g.executed, "{}: executed", g.name);
         assert_eq!(r.steal_attempts, g.steal_attempts, "{}: attempts", g.name);
-        assert_eq!(
-            r.successful_steals, g.successful_steals,
-            "{}: steals",
-            g.name
-        );
+        assert_eq!(r.steals, g.successful_steals, "{}: steals", g.name);
         assert_eq!(r.throws, g.throws, "{}: throws", g.name);
         assert_eq!(r.yields, g.yields, "{}: yields", g.name);
     }

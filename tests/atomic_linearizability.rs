@@ -17,17 +17,17 @@
 //! * Wing–Gong linearizability of the non-Abort operations against a
 //!   serial deque.
 //!
-//! Every ABP history runs over both buffers: the fixed array and a
-//! growable one started at capacity 4, so buffer growth fires while
-//! thieves are mid-steal.
+//! Every ABP history runs on four deques: both buffers (the fixed array,
+//! and a growable one started at capacity 4, so buffer growth fires
+//! while thieves are mid-steal) under both memory-ordering profiles (the
+//! relaxed protocol the runtime ships, and the blanket-`SeqCst`
+//! baseline), which pins the two profiles' behavioural equivalence.
 //!
 //! Histories are kept small (an owner running ~8 ops against three
 //! thieves running 4 `popTop`s each) so the Wing–Gong search stays
-//! cheap, and the case count high (800 seeded histories — 10× the
-//! original suite, re-validating the relaxed memory-ordering protocol;
-//! run under `--features seqcst-fallback` it covers the blanket-SeqCst
-//! profile too) so real interleavings — aborts, empty steals, races on
-//! the last element — actually occur.
+//! cheap, and the case count high (800 seeded histories) so real
+//! interleavings — aborts, empty steals, races on the last element —
+//! actually occur.
 //!
 //! The same harness then turns the *multiplicity* judge
 //! (`history::check_multiplicity`) on the real fence-free deque
@@ -44,7 +44,8 @@ use multiprog_ws::deque::history::{
     BatchInvocation, Invocation, MultiplicitySpec, OpResult, ProgOp, Recorder,
 };
 use multiprog_ws::deque::{
-    new, new_fence_free, new_growable, Buffer, DefaultProtocol, SimSteal, Steal, Stealer, Worker,
+    new, new_fence_free, new_growable_with_order, new_with_order, Buffer, OrderProfile,
+    RelaxedProtocol, SeqCstProtocol, SimSteal, Steal, Stealer, Worker,
 };
 
 const OWNER_OPS: usize = 8;
@@ -52,15 +53,41 @@ const THIEVES: usize = 3;
 const STEALS_PER_THIEF: usize = 4;
 const HISTORIES: u64 = 800;
 
-/// An ABP deque's owner and thief handles, over buffer `B`.
-type Abp<B> = (
-    Worker<u64, DefaultProtocol, B>,
-    Stealer<u64, DefaultProtocol, B>,
-);
+/// An ABP deque's owner and thief handles, under ordering profile `P`
+/// over buffer `B`.
+type Abp<P, B> = (Worker<u64, P, B>, Stealer<u64, P, B>);
+
+/// `$record(deque, $seed)` on every ABP deque — both buffers under both
+/// ordering profiles — labelled for failure messages.
+macro_rules! on_every_abp {
+    ($record:ident, $seed:expr) => {
+        [
+            (
+                "fixed/relaxed",
+                $record(new_with_order::<_, RelaxedProtocol>(64), $seed),
+            ),
+            (
+                "growable/relaxed",
+                $record(new_growable_with_order::<_, RelaxedProtocol>(4), $seed),
+            ),
+            (
+                "fixed/seqcst",
+                $record(new_with_order::<_, SeqCstProtocol>(64), $seed),
+            ),
+            (
+                "growable/seqcst",
+                $record(new_growable_with_order::<_, SeqCstProtocol>(4), $seed),
+            ),
+        ]
+    };
+}
 
 /// Runs one seeded owner-vs-thieves episode over the real deque and
 /// returns its recorded history.
-fn record_history<B: Buffer>((worker, stealer): Abp<B>, seed: u64) -> Vec<Invocation> {
+fn record_history<P: OrderProfile, B: Buffer>(
+    (worker, stealer): Abp<P, B>,
+    seed: u64,
+) -> Vec<Invocation> {
     let rec = Arc::new(Recorder::new());
     let barrier = Arc::new(Barrier::new(1 + THIEVES));
 
@@ -109,22 +136,19 @@ fn record_history<B: Buffer>((worker, stealer): Abp<B>, seed: u64) -> Vec<Invoca
     rec.history()
 }
 
-/// 800 seeded concurrent histories over the real atomic deque all
-/// satisfy the relaxed semantics of §3.2.
+/// 800 seeded concurrent histories on each real ABP deque all satisfy
+/// the relaxed semantics of §3.2.
 #[test]
 fn atomic_deque_histories_satisfy_relaxed_semantics() {
     let mut aborts = 0u64;
     let mut takes = 0u64;
     for seed in 0..HISTORIES {
         let seed = 0xAB90_0000 + seed;
-        for (buffer, history) in [
-            ("fixed", record_history(new(64), seed)),
-            ("growable", record_history(new_growable(4), seed)),
-        ] {
+        for (deque, history) in on_every_abp!(record_history, seed) {
             assert_eq!(
                 history.len(),
                 OWNER_OPS + THIEVES * STEALS_PER_THIEF,
-                "seed {seed} ({buffer}): incomplete history"
+                "seed {seed} ({deque}): incomplete history"
             );
             for inv in &history {
                 match inv.result {
@@ -135,7 +159,7 @@ fn atomic_deque_histories_satisfy_relaxed_semantics() {
             }
             if let Err(reason) = check(&history) {
                 panic!(
-                    "seed {seed} ({buffer}): relaxed-semantics violation: {reason}\nhistory: {history:#?}"
+                    "seed {seed} ({deque}): relaxed-semantics violation: {reason}\nhistory: {history:#?}"
                 );
             }
         }
@@ -144,7 +168,7 @@ fn atomic_deque_histories_satisfy_relaxed_semantics() {
     // thieves steal real values. (Aborts are timing-dependent, so only
     // report them rather than asserting.)
     assert!(takes > 0, "no steal ever succeeded across {HISTORIES} runs");
-    eprintln!("checked {HISTORIES} histories per buffer: {takes} takes, {aborts} aborts");
+    eprintln!("checked {HISTORIES} histories per deque: {takes} takes, {aborts} aborts");
 }
 
 /// Runs one seeded owner-vs-thieves episode over the real *fence-free*
@@ -390,8 +414,8 @@ fn checker_rejects_a_corrupted_real_history() {
 /// multi-task `pop_top_batch(3)` grabs against the real atomic deque.
 /// The owner pre-loads a burst so the early batches see real backlog,
 /// then churns as usual. Returns the plain history plus the batch log.
-fn record_batch_history<B: Buffer>(
-    (worker, stealer): Abp<B>,
+fn record_batch_history<P: OrderProfile, B: Buffer>(
+    (worker, stealer): Abp<P, B>,
     seed: u64,
 ) -> (Vec<Invocation>, Vec<BatchInvocation>) {
     let rec = Arc::new(Recorder::new());
@@ -472,15 +496,12 @@ fn atomic_deque_batched_histories_satisfy_relaxed_semantics() {
     let (mut batches, mut multi_task) = (0u64, 0u64);
     for seed in 0..HISTORIES / 2 {
         let seed = 0xBA7C_0000 + seed;
-        for (buffer, (history, batch_log)) in [
-            ("fixed", record_batch_history(new(64), seed)),
-            ("growable", record_batch_history(new_growable(4), seed)),
-        ] {
+        for (deque, (history, batch_log)) in on_every_abp!(record_batch_history, seed) {
             batches += batch_log.len() as u64;
             multi_task += batch_log.iter().filter(|b| b.tasks.len() >= 2).count() as u64;
             if let Err(reason) = check_with_batches(&history, &batch_log, false) {
                 panic!(
-                    "seed {seed} ({buffer}): batched violation: {reason}\nhistory: {history:#?}\nbatches: {batch_log:#?}"
+                    "seed {seed} ({deque}): batched violation: {reason}\nhistory: {history:#?}\nbatches: {batch_log:#?}"
                 );
             }
         }
@@ -492,7 +513,7 @@ fn atomic_deque_batched_histories_satisfy_relaxed_semantics() {
         HISTORIES / 2
     );
     eprintln!(
-        "checked {} batched histories per buffer: {batches} non-empty batches, {multi_task} multi-task",
+        "checked {} batched histories per deque: {batches} non-empty batches, {multi_task} multi-task",
         HISTORIES / 2
     );
 }
@@ -506,8 +527,8 @@ fn atomic_deque_batched_histories_satisfy_relaxed_semantics() {
 /// index (the INV-SB-REVAL race; the deep-burst episode above almost
 /// never generates it because the owner rarely drains to within the
 /// claimed range mid-chain).
-fn record_batch_history_shallow<B: Buffer>(
-    (worker, stealer): Abp<B>,
+fn record_batch_history_shallow<P: OrderProfile, B: Buffer>(
+    (worker, stealer): Abp<P, B>,
     seed: u64,
 ) -> (Vec<Invocation>, Vec<BatchInvocation>) {
     let rec = Arc::new(Recorder::new());
@@ -582,18 +603,12 @@ fn atomic_deque_shallow_batched_histories_satisfy_relaxed_semantics() {
     let (mut batches, mut multi_task) = (0u64, 0u64);
     for seed in 0..HISTORIES / 2 {
         let seed = 0x5A11_0000 + seed;
-        for (buffer, (history, batch_log)) in [
-            ("fixed", record_batch_history_shallow(new(64), seed)),
-            (
-                "growable",
-                record_batch_history_shallow(new_growable(4), seed),
-            ),
-        ] {
+        for (deque, (history, batch_log)) in on_every_abp!(record_batch_history_shallow, seed) {
             batches += batch_log.len() as u64;
             multi_task += batch_log.iter().filter(|b| b.tasks.len() >= 2).count() as u64;
             if let Err(reason) = check_with_batches(&history, &batch_log, false) {
                 panic!(
-                    "seed {seed} ({buffer}): shallow batched violation: {reason}\nhistory: {history:#?}\nbatches: {batch_log:#?}"
+                    "seed {seed} ({deque}): shallow batched violation: {reason}\nhistory: {history:#?}\nbatches: {batch_log:#?}"
                 );
             }
         }
@@ -605,7 +620,7 @@ fn atomic_deque_shallow_batched_histories_satisfy_relaxed_semantics() {
         HISTORIES / 2
     );
     eprintln!(
-        "checked {} shallow batched histories per buffer: {batches} non-empty batches, {multi_task} multi-task",
+        "checked {} shallow batched histories per deque: {batches} non-empty batches, {multi_task} multi-task",
         HISTORIES / 2
     );
 }

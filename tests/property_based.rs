@@ -284,7 +284,7 @@ fn tree_steals_respect_rooted_tree_bound_golden_matrix() {
                         .with_policies(PolicySet::paper().with_victim(vk));
                     let r = run_ws(&dag, p, &mut k, cfg);
                     assert!(r.completed, "{name} {vk:?} P={p} seed={seed}");
-                    let check = StealBoundCheck::rooted_tree(r.successful_steals, 2, h2, edges, p);
+                    let check = StealBoundCheck::rooted_tree(r.steals, 2, h2, edges, p);
                     assert!(
                         check.holds(),
                         "{name} {vk:?} P={p} seed={seed}: {} steals > bound {}",

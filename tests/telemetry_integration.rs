@@ -238,7 +238,7 @@ fn sim_trace_exports_same_schema() {
     let attempts: u64 = counts.iter().map(|c| c.iter().sum::<u64>()).sum();
     let hits: u64 = counts.iter().map(|c| c[0]).sum();
     assert_eq!(attempts, r.steal_attempts, "trace attempts = sim counter");
-    assert_eq!(hits, r.successful_steals, "trace hits = sim counter");
+    assert_eq!(hits, r.steals, "trace hits = sim counter");
     for (i, w) in snap.workers.iter().enumerate() {
         assert_eq!(
             w.steal_attempts(),
